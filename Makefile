@@ -3,7 +3,8 @@
 #   make check       — everything CI runs
 #   make race        — race-check the concurrent packages (service, core,
 #                      webdb, engine's columnar worker pool, similarity's
-#                      chunked pair sweep)
+#                      chunked pair sweep, the learn pipeline's workers)
+#   make perfbench   — vet and test the end-to-end benchmark module
 #   make bench-serve — serving-path benchmarks (cache hit vs miss)
 #   make bench-learn — offline learn-phase scenarios only (probe→mine→order
 #                      →supertuple at 1x/2x/4x sample sizes, plus the
@@ -20,9 +21,9 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X aimq/internal/version.Version=$(VERSION)
 
-.PHONY: check vet build test race bench-serve bench-learn bench-engine bench bench-quick bench-check baseline
+.PHONY: check vet build test race perfbench bench-serve bench-learn bench-engine bench bench-quick bench-check baseline
 
-check: vet build test race
+check: vet build test race perfbench
 
 vet:
 	$(GO) vet ./...
@@ -39,9 +40,15 @@ test:
 # the columnar chunk worker pool (and its randomized differential suite);
 # similarity chunks the VSim pair sweep across goroutines. tane shards
 # lattice levels across workers (with its own differential oracle suite),
-# and partition's scratch reuse backs that sharding.
+# and partition's scratch reuse backs that sharding. learn drives all of
+# those worker pools from one Workers setting.
 race:
-	$(GO) test -race ./internal/service/... ./internal/core/... ./internal/webdb/... ./internal/obs/... ./internal/engine/... ./internal/similarity/... ./internal/audit/... ./internal/drift/... ./internal/lifecycle/... ./internal/tane/... ./internal/partition/...
+	$(GO) test -race ./internal/service/... ./internal/core/... ./internal/webdb/... ./internal/obs/... ./internal/engine/... ./internal/similarity/... ./internal/audit/... ./internal/drift/... ./internal/lifecycle/... ./internal/tane/... ./internal/partition/... ./internal/learn/...
+
+# perfbench is its own module (replace aimq => ../), so the root go test
+# never compiles it; this keeps it building against the service API.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench-serve:
 	$(GO) test -run XXX -bench 'BenchmarkService_' -benchmem ./internal/service/

@@ -3,16 +3,14 @@ package aimq
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 
 	"aimq/internal/afd"
 	"aimq/internal/core"
-	"aimq/internal/probe"
+	"aimq/internal/learn"
+	"aimq/internal/model"
 	"aimq/internal/relation"
 	"aimq/internal/similarity"
-	"aimq/internal/supertuple"
-	"aimq/internal/tane"
 	"aimq/internal/webdb"
 	"aimq/internal/workload"
 )
@@ -26,10 +24,12 @@ type DB struct {
 	src    webdb.Source
 	cfg    config
 	probed *relation.Relation
+	// prov is the provenance of the learn run or the loaded snapshot;
+	// SaveModel writes it beside the current ordering and estimator.
+	prov model.Provenance
 
 	ord *afd.Ordering
 	est *similarity.Estimator
-	idx *supertuple.Index
 
 	// log records every asked query for workload-driven adaptation.
 	log *workload.Log
@@ -67,7 +67,7 @@ func Connect(baseURL string, client *http.Client, opts ...Option) (*DB, error) {
 
 // OpenSource creates a session over any webdb.Source implementation —
 // custom transports, middlewares like webdb.ProbeCounter, or the
-// fault-injecting webdb.Flaky used in resilience tests.
+// fault-injecting webdb.Chaos used in resilience tests.
 func OpenSource(src webdb.Source, opts ...Option) *DB {
 	return newDB(src, opts...)
 }
@@ -86,60 +86,26 @@ func (db *DB) Schema() *relation.Schema { return db.src.Schema() }
 // Source returns the underlying source (useful for probe accounting).
 func (db *DB) Source() webdb.Source { return db.src }
 
-// Learn runs AIMQ's offline phase: it probes the source for a sample (or
-// uses the one supplied via WithSample), mines approximate functional
-// dependencies and keys with TANE, derives the attribute relaxation order
-// and importance weights (Algorithm 2), and estimates categorical value
-// similarities from supertuples.
+// Learn runs AIMQ's offline phase (internal/learn): it probes the source
+// for a sample (or uses the one supplied via WithSample), mines approximate
+// functional dependencies and keys with TANE, derives the attribute
+// relaxation order and importance weights (Algorithm 2), and estimates
+// categorical value similarities from supertuples.
 func (db *DB) Learn() error {
-	sample := db.cfg.sample
+	cfg, sample := db.cfg.learn, db.cfg.sample
 	if sample == nil {
-		rng := rand.New(rand.NewSource(db.cfg.seed))
-		collector := probe.New(db.src, rng)
-		collector.Parallelism = db.cfg.probeWorkers
-		pivot := db.cfg.pivot
-		if pivot == "" {
-			p, err := db.pickPivot()
-			if err != nil {
-				return err
-			}
-			pivot = p
-		}
-		probed, err := collector.Collect(pivot)
+		probed, st, err := learn.Probe(db.src, cfg)
 		if err != nil {
-			return fmt.Errorf("aimq: probing failed: %w", err)
+			return fmt.Errorf("aimq: %w", err)
 		}
-		if db.cfg.sampleSize > 0 && probed.Size() > db.cfg.sampleSize {
-			probed = probed.Sample(db.cfg.sampleSize, rng)
-		}
-		sample = probed
+		sample, cfg.Pivot = probed, st.Pivot
 	}
-	db.probed = sample
-
-	mined := tane.Miner{Terr: db.cfg.terr, MaxLHS: db.cfg.maxLHS}.Mine(sample)
-	ord, err := afd.Order(mined)
+	m, err := learn.FromSample(sample, cfg)
 	if err != nil {
-		return fmt.Errorf("aimq: %w (raise Terr with WithErrorThreshold or supply a larger sample)", err)
+		return fmt.Errorf("aimq: %w", err)
 	}
-	db.ord = ord
-	db.idx = supertuple.Builder{Buckets: db.cfg.buckets}.Build(sample)
-	db.est = similarity.New(db.idx, ord, similarity.Config{MinSim: db.cfg.minSim})
+	db.probed, db.ord, db.est, db.prov = sample, m.Ord, m.Est, m.Snap.Provenance
 	return nil
-}
-
-// pickPivot selects a probing pivot: the lowest-cardinality attribute that
-// still shows at least two values in a seed probe.
-func (db *DB) pickPivot() (string, error) {
-	infos, err := probe.PivotCoverage(db.src, 2000)
-	if err != nil {
-		return "", fmt.Errorf("aimq: pivot discovery failed: %w", err)
-	}
-	for _, info := range infos {
-		if info.DistinctInSeed >= 2 {
-			return info.Attr, nil
-		}
-	}
-	return "", errors.New("aimq: no usable probing pivot (source empty?)")
 }
 
 // Learned reports whether Learn has completed.

@@ -329,7 +329,7 @@ func BenchmarkAblation_MinedVsUniformWeights(b *testing.B) {
 		b.Fatal(err)
 	}
 	car := l.Car()
-	uniform := similarity.New(pipe.Index, afd.Uniform(car.Rel.Schema()), similarity.Config{})
+	uniform := similarity.New(pipe.Est.Index, afd.Uniform(car.Rel.Schema()), similarity.Config{})
 	src := webdb.NewLocal(car.Rel)
 	tuple := car.Rel.Tuple(3)
 	q := query.FromTuple(car.Rel.Schema(), tuple)

@@ -1,5 +1,5 @@
-// Command aimq-mine runs the offline dependency-mining pipeline over a CSV
-// relation and prints what AIMQ learned: approximate functional
+// Command aimq-mine runs AIMQ's offline phase (internal/learn) over a CSV
+// relation and prints what it learned: approximate functional
 // dependencies, approximate keys, the attribute relaxation order with
 // importance weights, and (optionally) mined value neighborhoods.
 //
@@ -17,11 +17,8 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"aimq/internal/afd"
+	"aimq/internal/learn"
 	"aimq/internal/relation"
-	"aimq/internal/similarity"
-	"aimq/internal/supertuple"
-	"aimq/internal/tane"
 )
 
 func main() {
@@ -31,7 +28,7 @@ func main() {
 	minimal := flag.Bool("minimal", false, "report only minimal dependencies")
 	topAFDs := flag.Int("afds", 25, "number of AFDs to print")
 	similar := flag.String("similar", "", "comma-separated Attr=Value pairs to show mined neighborhoods for")
-	workers := flag.Int("workers", 1, "mining + supertuple build goroutines (results are identical at any count)")
+	workers := flag.Int("workers", 1, "offline-phase workers: TANE levels, supertuple build and the VSim sweep (results are identical at any count)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -81,7 +78,11 @@ func run(data string, terr float64, maxLHS int, minimal bool, topAFDs int, simil
 	}
 	fmt.Printf("mining %d tuples of %s (Terr=%.2f, MaxLHS=%d, workers=%d)\n\n", rel.Size(), rel.Schema(), terr, maxLHS, workers)
 
-	res := tane.Miner{Terr: terr, MaxLHS: maxLHS, MinimalOnly: minimal, Workers: workers}.Mine(rel)
+	m, err := learn.FromSample(rel, learn.Config{Terr: terr, MaxLHS: maxLHS, MinimalOnly: minimal, Workers: workers})
+	if err != nil {
+		return err
+	}
+	res := m.Mined
 	fmt.Printf("lattice: %d levels, %d sets examined, %d partition products (%d pruned/reused), peak partition memory %d bytes\n\n",
 		res.LevelsVisited, res.SetsExamined, res.ProductsComputed, res.PartitionCacheHits, res.PeakPartitionBytes)
 	fmt.Printf("approximate functional dependencies: %d (top %d by support)\n", len(res.AFDs), topAFDs)
@@ -95,17 +96,10 @@ func run(data string, terr float64, maxLHS int, minimal bool, topAFDs int, simil
 	for _, k := range res.AKeys {
 		fmt.Println("  " + k.Render(rel.Schema()))
 	}
-
-	ord, err := afd.Order(res)
-	if err != nil {
-		return err
-	}
 	fmt.Println()
-	fmt.Print(ord.Describe())
+	fmt.Print(m.Ord.Describe())
 
 	if similar != "" {
-		idx := supertuple.Builder{Buckets: 10, Workers: workers}.Build(rel)
-		est := similarity.New(idx, ord, similarity.Config{})
 		fmt.Println("\nmined value neighborhoods:")
 		for _, pair := range strings.Split(similar, ",") {
 			parts := strings.SplitN(strings.TrimSpace(pair), "=", 2)
@@ -116,7 +110,7 @@ func run(data string, terr float64, maxLHS int, minimal bool, topAFDs int, simil
 			if !ok {
 				return fmt.Errorf("unknown attribute %q", parts[0])
 			}
-			fmt.Println("  " + est.DescribeNeighborhood(attr, parts[1], 5))
+			fmt.Println("  " + m.Est.DescribeNeighborhood(attr, parts[1], 5))
 		}
 	}
 	return nil

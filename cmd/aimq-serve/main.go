@@ -84,8 +84,7 @@ func main() {
 	sampleSize := flag.Int("sample", 0, "cap the learning sample (0 = all)")
 	terr := flag.Float64("terr", 0.15, "TANE error threshold for learning")
 	seed := flag.Int64("seed", 1, "probing/sampling seed")
-	probeWorkers := flag.Int("probe-workers", 1, "concurrent spanning probes and supertuple-build goroutines while learning")
-	legacyEngine := flag.Bool("legacy-engine", false, "serve a local -data relation through the legacy row-at-a-time engine instead of the columnar bitmap engine")
+	probeWorkers := flag.Int("probe-workers", 1, "offline-phase workers while learning: spanning probes in flight, TANE level workers, supertuple-build goroutines and the VSim pair sweep (the model is identical at any count)")
 	prune := flag.Bool("prune", true, "skip relaxation queries whose Sim upper bound is already below tsim")
 	keyPruneErr := flag.Float64("key-prune-max-error", 0, "also skip relaxation queries that keep the mined best key bound, when the key's g3 error is at or below this (0 = exact keys only)")
 	cacheSnapshot := flag.String("cache-snapshot", "", "path for the hot-query cache snapshot: warmed from at startup, rewritten at shutdown ('' = disabled)")
@@ -141,9 +140,8 @@ func main() {
 		slowQuery: *slowQuery,
 		resilient: *resilient, retryAttempts: *retryAttempts, retryBase: *retryBase,
 		breakerFailures: *breakerFailures, breakerOpen: *breakerOpen,
-		failDegrade:  *failDegrade,
-		legacyEngine: *legacyEngine,
-		auditLog:     *auditLog, auditSample: *auditSample,
+		failDegrade: *failDegrade,
+		auditLog:    *auditLog, auditSample: *auditSample,
 		auditMaxBytes: *auditMaxBytes, auditMaxAge: *auditMaxAge,
 		driftInterval: *driftInterval, driftSample: *driftSample,
 		driftPSIWarn:        *driftPSIWarn,
@@ -187,7 +185,6 @@ type config struct {
 	prune                      bool
 	keyPruneErr                float64
 	cacheSnapshot              string
-	legacyEngine               bool
 	auditLog                   string
 	auditSample                int
 	auditMaxBytes              int64
@@ -238,13 +235,8 @@ func run(c config, logger *slog.Logger) error {
 			return err
 		}
 		logger.Info("serving local relation",
-			"tuples", rel.Size(), "schema", rel.Schema().String(), "file", c.data,
-			"engine", map[bool]string{false: "columnar", true: "legacy"}[c.legacyEngine])
-		if c.legacyEngine {
-			src = webdb.NewLocalLegacy(rel)
-		} else {
-			src = webdb.NewLocal(rel)
-		}
+			"tuples", rel.Size(), "schema", rel.Schema().String(), "file", c.data)
+		src = webdb.NewLocal(rel)
 	case c.source != "":
 		client, err := webdb.NewClient(c.source, nil)
 		if err != nil {
@@ -274,12 +266,13 @@ func run(c config, logger *slog.Logger) error {
 	}
 
 	start := time.Now()
-	m, err := service.LoadOrBuildModel(c.model, src, service.LearnConfig{
+	lc := service.LearnConfig{
 		Seed:       c.seed,
 		SampleSize: c.sampleSize,
 		Terr:       c.terr,
 		Workers:    c.probeWorkers,
-	})
+	}
+	m, err := service.LoadOrBuildModel(c.model, src, lc)
 	if err != nil {
 		return err
 	}
@@ -339,19 +332,19 @@ func run(c config, logger *slog.Logger) error {
 			"sample", c.auditSample, "max_bytes", c.auditMaxBytes, "max_age", c.auditMaxAge)
 	}
 
-	onFailure := core.FailAbort
+	engCfg := core.Config{
+		K:                 c.k,
+		Tsim:              c.tsim,
+		MaxQueriesPerBase: c.maxQPB,
+		OnFailure:         core.FailAbort,
+		DisablePruning:    !c.prune,
+		KeyPruneMaxError:  c.keyPruneErr,
+	}
 	if c.failDegrade {
-		onFailure = core.FailDegrade
+		engCfg.OnFailure = core.FailDegrade
 	}
 	svc := service.New(src, m.Est, &core.Guided{Ord: m.Ord}, service.Config{
-		Engine: core.Config{
-			K:                 c.k,
-			Tsim:              c.tsim,
-			MaxQueriesPerBase: c.maxQPB,
-			OnFailure:         onFailure,
-			DisablePruning:    !c.prune,
-			KeyPruneMaxError:  c.keyPruneErr,
-		},
+		Engine:          engCfg,
 		CacheSize:       c.cacheSize,
 		CacheTTL:        c.cacheTTL,
 		RequestTimeout:  c.timeout,
@@ -392,12 +385,6 @@ func run(c config, logger *slog.Logger) error {
 	// the background, shadow-validate it, persist it with generation keeping
 	// and hot-swap it in — never disturbing in-flight answers.
 	if c.refreshInterval > 0 || (mon != nil && c.refreshOnBreach) {
-		lc := service.LearnConfig{
-			Seed:       c.seed,
-			SampleSize: c.sampleSize,
-			Terr:       c.terr,
-			Workers:    c.probeWorkers,
-		}
 		ctl := lifecycle.New(svc, src,
 			func() (*service.Model, error) { return service.BuildModel(src, lc) },
 			lifecycle.Config{
@@ -406,18 +393,11 @@ func run(c config, logger *slog.Logger) error {
 					BaseDelay: c.refreshBackoff,
 					MaxDelay:  c.refreshBackoffMax,
 				},
-				ShadowSample: c.refreshShadowSample,
-				MaxZeroRise:  c.refreshMaxZeroRise,
-				MaxSimDrop:   c.refreshMaxSimDrop,
-				AuditPath:    c.auditLog,
-				Engine: core.Config{
-					K:                 c.k,
-					Tsim:              c.tsim,
-					MaxQueriesPerBase: c.maxQPB,
-					OnFailure:         onFailure,
-					DisablePruning:    !c.prune,
-					KeyPruneMaxError:  c.keyPruneErr,
-				},
+				ShadowSample:      c.refreshShadowSample,
+				MaxZeroRise:       c.refreshMaxZeroRise,
+				MaxSimDrop:        c.refreshMaxSimDrop,
+				AuditPath:         c.auditLog,
+				Engine:            engCfg,
 				ModelPath:         c.model,
 				Keep:              c.modelKeep,
 				ProbationWindow:   c.refreshProbation,

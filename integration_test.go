@@ -2,7 +2,6 @@ package aimq
 
 import (
 	"fmt"
-	"math/rand"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -68,7 +67,7 @@ func TestIntegrationFullStackOverHTTP(t *testing.T) {
 // the autonomous source fails intermittently.
 func TestIntegrationFlakySource(t *testing.T) {
 	gen := datagen.GenerateCarDB(3000, 33)
-	flaky := &webdb.Flaky{Src: webdb.NewLocal(gen.Rel), FailProb: 0.10, Rng: rand.New(rand.NewSource(34))}
+	flaky := webdb.NewChaos(webdb.NewLocal(gen.Rel), webdb.ChaosConfig{Seed: 34, FailProb: 0.10})
 	db := OpenSource(flaky,
 		WithSample(gen.Rel), // learn offline; exercise failures online
 		WithMaxSourceFailures(500),
@@ -84,7 +83,7 @@ func TestIntegrationFlakySource(t *testing.T) {
 		t.Errorf("flaky source produced no answers")
 	}
 	// Zero tolerance surfaces the failure instead.
-	strict := OpenSource(&webdb.Flaky{Src: webdb.NewLocal(gen.Rel), FailEvery: 2},
+	strict := OpenSource(webdb.NewChaos(webdb.NewLocal(gen.Rel), webdb.ChaosConfig{FailEvery: 2}),
 		WithSample(gen.Rel))
 	if err := strict.Learn(); err != nil {
 		t.Fatal(err)

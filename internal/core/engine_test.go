@@ -217,13 +217,13 @@ func TestSourceFailureTolerance(t *testing.T) {
 	ord, est := pipeline(t, rel)
 	q := query.New(rel.Schema()).Where("Model", query.OpLike, relation.Cat("Accord"))
 
-	flaky := &webdb.Flaky{Src: webdb.NewLocal(rel), FailEvery: 3}
+	flaky := webdb.NewChaos(webdb.NewLocal(rel), webdb.ChaosConfig{FailEvery: 3})
 	e := New(flaky, est, &Guided{Ord: ord}, Config{})
 	if _, err := e.Answer(q); err == nil {
 		t.Errorf("intolerant engine ignored source failures")
 	}
 
-	flaky2 := &webdb.Flaky{Src: webdb.NewLocal(rel), FailEvery: 3}
+	flaky2 := webdb.NewChaos(webdb.NewLocal(rel), webdb.ChaosConfig{FailEvery: 3})
 	tol := New(flaky2, est, &Guided{Ord: ord}, Config{MaxSourceFailures: 1000})
 	res, err := tol.Answer(q)
 	if err != nil {
@@ -322,7 +322,7 @@ func TestDuplicateAnswersCollapse(t *testing.T) {
 func TestErrInjectedSurfaces(t *testing.T) {
 	rel := testDB(500, 12)
 	ord, est := pipeline(t, rel)
-	flaky := &webdb.Flaky{Src: webdb.NewLocal(rel), FailEvery: 1}
+	flaky := webdb.NewChaos(webdb.NewLocal(rel), webdb.ChaosConfig{FailEvery: 1})
 	e := New(flaky, est, &Guided{Ord: ord}, Config{})
 	q := query.New(rel.Schema()).Where("Model", query.OpLike, relation.Cat("Camry"))
 	_, err := e.Answer(q)

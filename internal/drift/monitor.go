@@ -2,7 +2,6 @@ package drift
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -147,39 +146,17 @@ func (m *Monitor) Tick() (*Report, error) {
 func (m *Monitor) sampleAndCompare() (*Report, error) {
 	m.mu.Lock()
 	baseline := m.baseline
+	rng := rand.New(rand.NewSource(m.rng.Int63()))
 	m.mu.Unlock()
 	pivot := m.cfg.Pivot
 	if pivot == "" {
+		// "" again when the baseline predates pivot tracking: probe.Sample
+		// then rediscovers one, the way the learn phase does.
 		pivot = baseline.Pivot
 	}
-	if pivot == "" {
-		// Baseline predates pivot tracking: rediscover one, the way the
-		// learn phase does.
-		infos, err := probe.PivotCoverage(m.src, 2000)
-		if err != nil {
-			return nil, err
-		}
-		for _, info := range infos {
-			if info.DistinctInSeed >= 2 {
-				pivot = info.Attr
-				break
-			}
-		}
-		if pivot == "" {
-			return nil, errors.New("drift: no usable probing pivot")
-		}
-	}
-	m.mu.Lock()
-	rng := rand.New(rand.NewSource(m.rng.Int63()))
-	m.mu.Unlock()
-	collector := probe.New(m.src, rng)
-	collector.Parallelism = m.cfg.ProbeWorkers
-	sample, err := collector.Collect(pivot)
+	sample, _, err := probe.Sample(m.src, pivot, m.cfg.SampleLimit, m.cfg.ProbeWorkers, rng)
 	if err != nil {
 		return nil, err
-	}
-	if m.cfg.SampleLimit > 0 && sample.Size() > m.cfg.SampleLimit {
-		sample = sample.Sample(m.cfg.SampleLimit, rng)
 	}
 	return Compare(baseline, sample)
 }

@@ -10,10 +10,11 @@ import (
 	"aimq/internal/relation"
 )
 
-// Differential suite: the columnar engine, the legacy row engine, and the
-// naive full-scan oracle must return identical position sets for every
-// query the model can express — including null-heavy data, absent values,
-// inverted ranges, and degenerate predicates. Run under -race via the
+// Differential suite: the columnar engine, the legacy row engine (the
+// test-only oracle in legacy_test.go), and the naive full-scan oracle must
+// return identical position sets for every query the model can express —
+// including null-heavy data, absent values, inverted ranges, and
+// degenerate predicates. Run under -race via the
 // Makefile race target; the forced-parallel engine exercises the chunk
 // worker pool.
 
@@ -127,12 +128,12 @@ func TestDifferentialColumnarVsLegacy(t *testing.T) {
 			s := tc.rel.Schema()
 			engines := []struct {
 				name string
-				e    *Engine
+				e    executor
 			}{
 				{"columnar", New(tc.rel)},
 				{"columnar-chunked", newChunkedEngine(tc.rel, 128, 1)},
 				{"columnar-parallel", newChunkedEngine(tc.rel, 128, 4)},
-				{"legacy", NewLegacy(tc.rel)},
+				{"legacy", newLegacy(tc.rel)},
 			}
 			rng := rand.New(rand.NewSource(777))
 			empties, nonEmpties := 0, 0
@@ -147,7 +148,7 @@ func TestDifferentialColumnarVsLegacy(t *testing.T) {
 				var colFull []int
 				for _, eng := range engines {
 					got := eng.e.Execute(q, 0)
-					if !eng.e.Legacy() && !ascending(got) {
+					if eng.name != "legacy" && !ascending(got) {
 						t.Fatalf("trial %d: %s result not ascending for %s", trial, eng.name, q)
 					}
 					if !equalIntSets(got, want) {
@@ -214,7 +215,7 @@ func TestDifferentialEdgeQueries(t *testing.T) {
 			WhereRange("Year", 1995, 2001).
 			WhereRange("Year", 1999, 2005), // overlapping ranges on one attr
 	}
-	engines := []*Engine{New(rel), newChunkedEngine(rel, 64, 3), NewLegacy(rel)}
+	engines := []executor{New(rel), newChunkedEngine(rel, 64, 3), newLegacy(rel)}
 	for qi, q := range queries {
 		want := naiveExecute(rel, q)
 		for ei, e := range engines {
@@ -231,7 +232,7 @@ func TestDifferentialEdgeQueries(t *testing.T) {
 // TestDifferentialEmptyRelation: both engines over zero tuples.
 func TestDifferentialEmptyRelation(t *testing.T) {
 	rel := relation.New(diffSchema())
-	for _, e := range []*Engine{New(rel), NewLegacy(rel)} {
+	for _, e := range []executor{New(rel), newLegacy(rel)} {
 		q := query.New(rel.Schema()).Where("Make", query.OpEq, relation.Cat("Toyota"))
 		if got := e.Execute(q, 0); len(got) != 0 {
 			t.Errorf("empty relation returned %v", got)

@@ -8,20 +8,16 @@
 // with no ranking, no similarity, and no insight into the caller's intent.
 // Everything similarity-related lives above it in the AIMQ layers.
 //
-// Two execution paths share the public API:
-//
-//   - The columnar path (New, the default) evaluates queries over an
-//     internal/column store: every `=`/range predicate becomes a bitmap per
-//     chunk — categorical equality is a zero-scan posting-bitmap fetch, a
-//     dictionary miss short-circuits the whole conjunction, numeric ranges
-//     use per-chunk min/max zone maps to skip or blanket-accept chunks —
-//     and conjunctions AND the bitmaps word-at-a-time. Chunk evaluation
-//     fans out over a worker pool for unlimited scans. Results are always
-//     in ascending position order.
-//   - The legacy row path (NewLegacy) keeps the original hash/sorted-index
-//     row-at-a-time evaluator, retained for differential testing — the
-//     randomized suite in differential_test.go asserts both paths return
-//     identical position sets.
+// Queries are evaluated over an internal/column store: every `=`/range
+// predicate becomes a bitmap per chunk — categorical equality is a
+// zero-scan posting-bitmap fetch, a dictionary miss short-circuits the
+// whole conjunction, numeric ranges use per-chunk min/max zone maps to skip
+// or blanket-accept chunks — and conjunctions AND the bitmaps
+// word-at-a-time. Chunk evaluation fans out over a worker pool for
+// unlimited scans. Results are always in ascending position order. The
+// original hash/sorted-index row evaluator survives only as a test oracle
+// (legacy_test.go): the randomized differential and metamorphic suites
+// assert both return identical position sets.
 //
 // The engine also keeps execution statistics so the experiment harness can
 // report how many queries and tuples each relaxation strategy costs (paper
@@ -127,16 +123,10 @@ func (s *Stats) Reset() {
 type Engine struct {
 	rel     *relation.Relation
 	stats   Stats
-	legacy  bool
-	workers int // columnar chunk-eval workers; 0 = min(GOMAXPROCS, 8)
+	workers int // chunk-eval workers; 0 = min(GOMAXPROCS, 8)
 
 	buildOnce sync.Once
-	// columnar path
-	store *column.Store
-	// legacy row path: hash index attribute -> value key -> positions, and
-	// sorted numeric projections for range lookup
-	hash   []map[string][]int32
-	sorted [][]int32
+	store     *column.Store
 }
 
 // New creates a columnar engine over the relation. The column store is
@@ -146,19 +136,8 @@ func New(rel *relation.Relation) *Engine {
 	return &Engine{rel: rel}
 }
 
-// NewLegacy creates an engine using the original row-at-a-time hash/sorted
-// index evaluator. Kept behind this constructor for differential testing
-// against the columnar path and as an escape hatch (-legacy-engine on the
-// serving commands).
-func NewLegacy(rel *relation.Relation) *Engine {
-	return &Engine{rel: rel, legacy: true}
-}
-
-// Legacy reports whether this engine runs the legacy row path.
-func (e *Engine) Legacy() bool { return e.legacy }
-
 // SetWorkers overrides the chunk-evaluation worker count for unlimited
-// columnar scans (0 restores the default min(GOMAXPROCS, 8); 1 forces the
+// scans (0 restores the default min(GOMAXPROCS, 8); 1 forces the
 // serial path). Call before the first query; it is not synchronized with
 // concurrent execution.
 func (e *Engine) SetWorkers(n int) { e.workers = n }
@@ -169,18 +148,14 @@ func (e *Engine) Relation() *relation.Relation { return e.rel }
 // Stats returns the engine's execution counters.
 func (e *Engine) Stats() *Stats { return &e.stats }
 
-// Store returns the columnar store (nil on the legacy path or before the
-// first query). Exposed for the bench harness's storage diagnostics.
+// Store returns the columnar store, building it on first use. Exposed for
+// the bench harness's storage diagnostics.
 func (e *Engine) Store() *column.Store {
 	e.buildOnce.Do(e.build)
 	return e.store
 }
 
 func (e *Engine) build() {
-	if e.legacy {
-		e.buildIndexes()
-		return
-	}
 	e.store = column.MustBuild(e.rel, 0)
 }
 
@@ -196,10 +171,8 @@ func (e *Engine) effWorkers() int {
 }
 
 // Execute runs a conjunctive query and returns the positions of all
-// satisfying tuples, up to limit (limit <= 0 means unlimited). Columnar
-// results are in ascending relation order; the legacy path returns
-// access-path order. Callers that need determinism across engines and
-// access paths should sort (the columnar order is already sorted).
+// satisfying tuples, up to limit (limit <= 0 means unlimited), in
+// ascending relation order.
 //
 // Imprecise (like) predicates are evaluated as equality: the boolean model
 // cannot do anything else, which is the premise of the paper.
@@ -209,9 +182,6 @@ func (e *Engine) Execute(q *query.Query, limit int) []int {
 	start := time.Now()
 	defer func() { e.stats.BusyNanos.Add(time.Since(start).Nanoseconds()) }()
 
-	if e.legacy {
-		return e.executeLegacy(q, limit)
-	}
 	out, _, scanned, ec := e.runColumnar(q, limit, false, nil)
 	e.stats.TuplesScanned.Add(scanned)
 	e.stats.TuplesReturned.Add(int64(len(out)))
@@ -229,15 +199,10 @@ func (e *Engine) ExecuteTuples(q *query.Query, limit int) []relation.Tuple {
 	return out
 }
 
-// Count returns the number of tuples satisfying the query. On the columnar
-// path the result bitmap is popcounted without materializing a position
-// slice, and the tally lands in Stats.TuplesCounted rather than inflating
-// TuplesReturned. The legacy path counts by materializing, as it always
-// did.
+// Count returns the number of tuples satisfying the query. The result
+// bitmap is popcounted without materializing a position slice, and the
+// tally lands in Stats.TuplesCounted rather than inflating TuplesReturned.
 func (e *Engine) Count(q *query.Query) int {
-	if e.legacy {
-		return len(e.Execute(q, 0))
-	}
 	e.buildOnce.Do(e.build)
 	e.stats.Queries.Add(1)
 	start := time.Now()

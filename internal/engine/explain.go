@@ -37,7 +37,6 @@ type PlanTerm struct {
 type QueryExplain struct {
 	Empty    bool // plan short-circuited: dict miss, NULL binding, unknown op
 	FullScan bool // empty conjunction — every tuple matches, no chunk work
-	Legacy   bool // legacy row engine: plan and chunk counters unavailable
 
 	Plan []PlanTerm
 
@@ -114,14 +113,6 @@ func (e *Engine) ExecuteExplained(q *query.Query, limit int, ex *QueryExplain) [
 	e.stats.Queries.Add(1)
 	start := time.Now()
 
-	if e.legacy {
-		out := e.executeLegacy(q, limit)
-		ex.Legacy = true
-		ex.Matched = len(out)
-		ex.Elapsed = time.Since(start)
-		e.stats.BusyNanos.Add(ex.Elapsed.Nanoseconds())
-		return out
-	}
 	out, _, scanned, ec := e.runColumnar(q, limit, false, ex)
 	e.stats.TuplesScanned.Add(scanned)
 	e.stats.TuplesReturned.Add(int64(len(out)))

@@ -139,7 +139,7 @@ func TestMetamorphicDuplicateQueryIdempotent(t *testing.T) {
 // with materialization on both.
 func TestMetamorphicEnginesAgree(t *testing.T) {
 	rel := randomRel(1500, 81)
-	col, leg := New(rel), NewLegacy(rel)
+	col, leg := New(rel), newLegacy(rel)
 	rng := rand.New(rand.NewSource(82))
 	for trial := 0; trial < 150; trial++ {
 		q := randomQuery(rng, rel.Schema())

@@ -318,10 +318,11 @@ func TestPipelineTimingsRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.MiningTime <= 0 || p.SuperTupleTime <= 0 || p.SimilarityTime < 0 {
-		t.Errorf("timings not recorded: %v %v %v", p.MiningTime, p.SuperTupleTime, p.SimilarityTime)
+	mine, super, sim := p.Stats.Stage("mine"), p.Stats.Stage("supertuple"), p.Stats.Stage("similarity")
+	if mine <= 0 || super <= 0 || sim < 0 {
+		t.Errorf("timings not recorded: %v %v %v", mine, super, sim)
 	}
-	if p.Mined == nil || p.Ord == nil || p.Index == nil || p.Est == nil {
+	if p.Mined == nil || p.Ord == nil || p.Est == nil || p.Est.Index == nil {
 		t.Errorf("pipeline has nil components")
 	}
 	// Cached: second call returns the same pipeline.

@@ -66,7 +66,7 @@ func RunFig8(l *Lab) (*Fig8Result, error) {
 	// RandomRelax, per the paper, "gives equal importance to all the
 	// attributes": it shares AIMQ's association-mined value similarities
 	// but gates and ranks with uniform weights.
-	uniformEst := similarity.New(pipe.Index, afd.Uniform(car.Rel.Schema()), similarity.Config{})
+	uniformEst := similarity.New(pipe.Est.Index, afd.Uniform(car.Rel.Schema()), similarity.Config{})
 	random := core.New(src, uniformEst, &core.Random{Rng: rand.New(rand.NewSource(l.P.Seed + 81))}, mkConfig)
 
 	clustering, err := rock.Cluster(sample, rock.Config{

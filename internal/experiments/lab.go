@@ -11,14 +11,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
-	"aimq/internal/afd"
 	"aimq/internal/datagen"
+	"aimq/internal/learn"
 	"aimq/internal/relation"
-	"aimq/internal/similarity"
-	"aimq/internal/supertuple"
-	"aimq/internal/tane"
 )
 
 // Params controls experiment scale. Full() matches the paper's setup;
@@ -106,42 +102,22 @@ func Quick() Params {
 	return p
 }
 
-// Pipeline is the mined offline stack over one sample: dependencies,
-// ordering, supertuples and the similarity estimator, with the offline
+// Pipeline is the learned offline stack over one sample, kept with the
+// sample it was mined from. Its stage profile (Stats) carries the offline
 // timings Table 2 reports.
 type Pipeline struct {
-	Rel   *relation.Relation
-	Mined *tane.Result
-	Ord   *afd.Ordering
-	Index *supertuple.Index
-	Est   *similarity.Estimator
-
-	MiningTime     time.Duration
-	SuperTupleTime time.Duration
-	SimilarityTime time.Duration
+	Rel *relation.Relation
+	*learn.Model
 }
 
-// BuildPipeline mines a relation sample into a full AIMQ offline stack.
+// BuildPipeline learns the offline stack over a relation sample with the
+// default config apart from the TANE bounds.
 func BuildPipeline(rel *relation.Relation, terr float64, maxLHS int) (*Pipeline, error) {
-	p := &Pipeline{Rel: rel}
-	start := time.Now()
-	p.Mined = tane.Miner{Terr: terr, MaxLHS: maxLHS}.Mine(rel)
-	p.MiningTime = time.Since(start)
-
-	ord, err := afd.Order(p.Mined)
+	m, err := learn.FromSample(rel, learn.Config{Terr: terr, MaxLHS: maxLHS})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	p.Ord = ord
-
-	start = time.Now()
-	p.Index = supertuple.Builder{Buckets: 10}.Build(rel)
-	p.SuperTupleTime = time.Since(start)
-
-	start = time.Now()
-	p.Est = similarity.New(p.Index, ord, similarity.Config{})
-	p.SimilarityTime = time.Since(start)
-	return p, nil
+	return &Pipeline{Rel: rel, Model: m}, nil
 }
 
 // Lab lazily builds and caches the shared datasets and pipelines.

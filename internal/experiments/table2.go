@@ -36,8 +36,8 @@ func RunTable2(l *Lab) (*Table2Result, error) {
 		return nil, err
 	}
 	out.CarN = carN
-	out.CarAIMQSuperTuple = carPipe.SuperTupleTime
-	out.CarAIMQSimilarity = carPipe.SimilarityTime
+	out.CarAIMQSuperTuple = carPipe.Stats.Stage("supertuple")
+	out.CarAIMQSimilarity = carPipe.Stats.Stage("similarity")
 
 	// ROCK offline on the same CarDB sample.
 	out.RockSampleCar = l.P.RockSample
@@ -56,8 +56,8 @@ func RunTable2(l *Lab) (*Table2Result, error) {
 		return nil, fmt.Errorf("table2 censusdb pipeline: %w", err)
 	}
 	out.CensusN = census.Rel.Size()
-	out.CensusAIMQSuper = censusPipe.SuperTupleTime
-	out.CensusAIMQSim = censusPipe.SimilarityTime
+	out.CensusAIMQSuper = censusPipe.Stats.Stage("supertuple")
+	out.CensusAIMQSim = censusPipe.Stats.Stage("similarity")
 
 	out.RockSampleCensus = l.P.RockCensusSample
 	censusRock, err := rock.Cluster(census.Rel, rock.Config{

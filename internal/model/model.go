@@ -43,9 +43,13 @@ type Snapshot struct {
 	// Matrices maps attribute name → value → value → similarity.
 	Matrices map[string]map[string]map[string]float64 `json:"matrices"`
 
-	// Provenance (optional; absent in snapshots written before drift
-	// telemetry existed, so all of it is omitempty and Restore ignores it).
+	Provenance
+}
 
+// Provenance records where a model came from. It is optional: snapshots
+// written before drift telemetry existed lack it, so all of it is omitempty
+// and Restore ignores it. Embedded in Snapshot, its fields encode inline.
+type Provenance struct {
 	// LearnedAtUnix is when the offline phase produced this model.
 	LearnedAtUnix int64 `json:"learned_at_unix,omitempty"`
 	// SampleSize is how many probed tuples the model was mined from.

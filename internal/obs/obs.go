@@ -122,7 +122,6 @@ type EnginePlanTerm struct {
 type EngineExec struct {
 	Empty    bool `json:"empty,omitempty"`     // plan short-circuited (dict miss, null binding, …)
 	FullScan bool `json:"full_scan,omitempty"` // empty conjunction: every tuple matches
-	Legacy   bool `json:"legacy,omitempty"`    // legacy row engine: no columnar counters
 
 	Plan []EnginePlanTerm `json:"plan,omitempty"`
 
@@ -204,8 +203,19 @@ type LearnStats struct {
 	PartitionCacheHits int     `json:"partition_cache_hits"`
 	PeakPartitionBytes int     `json:"peak_partition_bytes"`
 	MineWorkers        int     `json:"mine_workers"` // level-shard goroutines (1 = serial)
-	Stages             []Span  `json:"stages"`       // probe, sample, mine, order, supertuple, simest
+	Stages             []Span  `json:"stages"`       // probe, sample, mine, order, supertuple, similarity, snapshot
 	TotalMs            float64 `json:"total_ms"`
+}
+
+// Stage returns the named stage's duration; 0 when the run had no such
+// stage.
+func (s *LearnStats) Stage(name string) time.Duration {
+	for _, sp := range s.Stages {
+		if sp.Name == name {
+			return time.Duration(sp.DurMs * 1e6)
+		}
+	}
+	return 0
 }
 
 // Trace is the finished record of one answered query (or one learning run).

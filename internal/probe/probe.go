@@ -13,11 +13,13 @@ package probe
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"sync"
+	"time"
 
 	"aimq/internal/query"
 	"aimq/internal/relation"
@@ -63,6 +65,50 @@ type Stats struct {
 	Failures        int    // spanning queries that failed
 	TuplesReturned  int    // tuples returned across spanning queries, pre-dedup
 	ProbedTuples    int    // distinct tuples kept in the probed relation
+
+	// ProbeTime and CapTime time the two steps of a Sample call: pivot
+	// discovery plus the spanning collect, then the down-sampling cap.
+	ProbeTime, CapTime time.Duration
+}
+
+// Sample is the probing step shared by the offline learn phase and the
+// drift monitor's re-probe. With pivot "" it discovers one: the
+// lowest-cardinality attribute that shows at least two values in a seed
+// probe. It collects the source with spanning queries over the pivot,
+// workers at a time, then caps the probed relation at limit tuples (0 =
+// keep all) drawn with rng. rng is handed to the collector first and used
+// by the cap after it, the stream order the learned fingerprints rely on.
+func Sample(src webdb.Source, pivot string, limit, workers int, rng *rand.Rand) (*relation.Relation, Stats, error) {
+	start := time.Now()
+	if pivot == "" {
+		infos, err := PivotCoverage(src, 2000)
+		if err != nil {
+			return nil, Stats{}, fmt.Errorf("probe: pivot discovery failed: %w", err)
+		}
+		for _, info := range infos {
+			if info.DistinctInSeed >= 2 {
+				pivot = info.Attr
+				break
+			}
+		}
+		if pivot == "" {
+			return nil, Stats{}, errors.New("probe: no usable probing pivot (source empty?)")
+		}
+	}
+	c := New(src, rng)
+	c.Parallelism = workers
+	rel, err := c.Collect(pivot)
+	if err != nil {
+		return nil, c.Stats, err
+	}
+	st := c.Stats
+	st.ProbeTime = time.Since(start)
+	capStart := time.Now()
+	if limit > 0 && rel.Size() > limit {
+		rel = rel.Sample(limit, rng)
+	}
+	st.CapTime = time.Since(capStart)
+	return rel, st, nil
 }
 
 // New creates a collector over src with the given RNG (used for sampling).

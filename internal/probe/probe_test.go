@@ -116,7 +116,7 @@ func TestCollectErrors(t *testing.T) {
 
 func TestCollectFlakySource(t *testing.T) {
 	rel := bigRel(1000, 12)
-	flaky := &webdb.Flaky{Src: webdb.NewLocal(rel), FailEvery: 4}
+	flaky := webdb.NewChaos(webdb.NewLocal(rel), webdb.ChaosConfig{FailEvery: 4})
 	c := New(flaky, rand.New(rand.NewSource(13)))
 	c.SeedProbeLimit = 1000
 	// Zero tolerance: must surface the injected failure.
@@ -124,7 +124,7 @@ func TestCollectFlakySource(t *testing.T) {
 		t.Errorf("intolerant collector error = %v", err)
 	}
 	// With tolerance it completes, possibly with fewer tuples.
-	flaky2 := &webdb.Flaky{Src: webdb.NewLocal(rel), FailEvery: 4}
+	flaky2 := webdb.NewChaos(webdb.NewLocal(rel), webdb.ChaosConfig{FailEvery: 4})
 	c2 := New(flaky2, rand.New(rand.NewSource(14)))
 	c2.SeedProbeLimit = 1000
 	c2.MaxFailures = 10
@@ -170,7 +170,7 @@ func TestPivotCoverage(t *testing.T) {
 }
 
 func TestPivotCoverageSourceError(t *testing.T) {
-	flaky := &webdb.Flaky{Src: webdb.NewLocal(bigRel(10, 18)), FailEvery: 1}
+	flaky := webdb.NewChaos(webdb.NewLocal(bigRel(10, 18)), webdb.ChaosConfig{FailEvery: 1})
 	if _, err := PivotCoverage(flaky, 10); err == nil {
 		t.Errorf("PivotCoverage swallowed source error")
 	}
@@ -208,10 +208,8 @@ func TestParallelCollectMatchesSequential(t *testing.T) {
 
 func TestParallelCollectFlaky(t *testing.T) {
 	rel := bigRel(2000, 43)
-	// ProbeCounter is concurrency-safe; Flaky is not, so parallel flaky
-	// probing uses FailProb-free deterministic wrapping per worker — here
-	// just verify the failure tolerance accounting under parallelism with
-	// an always-failing source.
+	// Verify the failure tolerance accounting under parallelism with an
+	// always-failing source.
 	c := New(&failingSource{sc: rel.Schema()}, rand.New(rand.NewSource(44)))
 	c.SeedProbeLimit = 10
 	c.Parallelism = 4

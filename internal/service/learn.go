@@ -1,48 +1,22 @@
 package service
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
 	"aimq/internal/afd"
-	"aimq/internal/drift"
+	"aimq/internal/learn"
 	"aimq/internal/model"
 	"aimq/internal/obs"
-	"aimq/internal/probe"
 	"aimq/internal/similarity"
-	"aimq/internal/supertuple"
-	"aimq/internal/tane"
 	"aimq/internal/webdb"
 )
 
 // LearnConfig tunes the offline phase run at service startup when no saved
-// model is available. Zero values select the same defaults as the public
-// aimq.DB session.
-type LearnConfig struct {
-	Seed       int64   // probing/sampling seed (default 1)
-	Pivot      string  // probing pivot attribute ("" = auto-discover)
-	SampleSize int     // cap on the mined sample (0 = keep all)
-	Terr       float64 // TANE g3 threshold (default 0.15)
-	MaxLHS     int     // AFD antecedent bound (default min(arity-1, 3))
-	Buckets    int     // numeric discretization buckets (default 10)
-	Workers    int     // concurrent spanning probes and supertuple-build goroutines (default 1)
-}
-
-func (lc LearnConfig) withDefaults() LearnConfig {
-	if lc.Seed == 0 {
-		lc.Seed = 1
-	}
-	if lc.Terr == 0 {
-		lc.Terr = 0.15
-	}
-	if lc.Buckets == 0 {
-		lc.Buckets = 10
-	}
-	return lc
-}
+// model is available. It is learn.Config: zero values select the same
+// defaults as the public aimq.DB session.
+type LearnConfig = learn.Config
 
 // Model bundles everything the offline phase produces: the learned
 // artifacts the engine needs (ordering + estimator), the snapshot they
@@ -94,103 +68,16 @@ func (m *Model) Info() ModelInfo {
 	return info
 }
 
-// BuildModel runs AIMQ's offline phase against src: spanning-query probing,
-// TANE AFD/AKey mining, the Algorithm 2 attribute ordering, and supertuple
-// value-similarity estimation. The returned Model carries the learned
-// artifacts, a provenance-stamped snapshot embedding the probe sample's
-// drift baseline (internal/drift), and the LearnStats profile for
-// /debug/learn.
+// BuildModel runs AIMQ's offline phase against src (internal/learn) and
+// keeps what serving needs: the ordering, the estimator, the LearnStats
+// profile for /debug/learn, and the snapshot with provenance and the drift
+// baseline. The probe sample and the mined dependency lists are dropped.
 func BuildModel(src webdb.Source, lc LearnConfig) (*Model, error) {
-	lc = lc.withDefaults()
-	start := time.Now()
-	stats := &obs.LearnStats{}
-	stage := func(name string, begin time.Time) {
-		stats.Stages = append(stats.Stages, obs.Span{
-			Name:    name,
-			StartMs: float64(begin.Sub(start).Nanoseconds()) / 1e6,
-			DurMs:   float64(time.Since(begin).Nanoseconds()) / 1e6,
-		})
-	}
-	rng := rand.New(rand.NewSource(lc.Seed))
-	collector := probe.New(src, rng)
-	collector.Parallelism = lc.Workers
-	pivot := lc.Pivot
-	begin := time.Now()
-	if pivot == "" {
-		infos, err := probe.PivotCoverage(src, 2000)
-		if err != nil {
-			return nil, fmt.Errorf("service: pivot discovery failed: %w", err)
-		}
-		for _, info := range infos {
-			if info.DistinctInSeed >= 2 {
-				pivot = info.Attr
-				break
-			}
-		}
-		if pivot == "" {
-			return nil, errors.New("service: no usable probing pivot (source empty?)")
-		}
-	}
-	sample, err := collector.Collect(pivot)
+	m, err := learn.Build(src, lc)
 	if err != nil {
-		return nil, fmt.Errorf("service: probing failed: %w", err)
+		return nil, fmt.Errorf("service: %w", err)
 	}
-	stage("probe", begin)
-	stats.Pivot = collector.Stats.Pivot
-	stats.SeedTuples = collector.Stats.SeedTuples
-	stats.SpanningQueries = collector.Stats.SpanningQueries
-	stats.ProbeFailures = collector.Stats.Failures
-	stats.ProbedTuples = collector.Stats.ProbedTuples
-
-	begin = time.Now()
-	if lc.SampleSize > 0 && sample.Size() > lc.SampleSize {
-		sample = sample.Sample(lc.SampleSize, rng)
-	}
-	stage("sample", begin)
-	stats.SampleSize = sample.Size()
-
-	begin = time.Now()
-	mined := tane.Miner{Terr: lc.Terr, MaxLHS: lc.MaxLHS, Workers: lc.Workers}.Mine(sample)
-	stage("mine", begin)
-	stats.AFDs = len(mined.AFDs)
-	stats.AKeys = len(mined.AKeys)
-	stats.LatticeLevels = mined.LevelsVisited
-	stats.SetsExamined = mined.SetsExamined
-	stats.ProductsComputed = mined.ProductsComputed
-	stats.PartitionCacheHits = mined.PartitionCacheHits
-	stats.PeakPartitionBytes = mined.PeakPartitionBytes
-	stats.MineWorkers = lc.Workers
-	if stats.MineWorkers < 1 {
-		stats.MineWorkers = 1
-	}
-
-	begin = time.Now()
-	ord, err := afd.Order(mined)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w (raise Terr or enlarge the sample)", err)
-	}
-	stage("order", begin)
-
-	begin = time.Now()
-	idx := supertuple.Builder{Buckets: lc.Buckets, Workers: lc.Workers}.Build(sample)
-	est := similarity.New(idx, ord, similarity.Config{SweepWorkers: lc.Workers})
-	stage("supertuple", begin)
-
-	// Snapshot with provenance and the drift baseline: the probe sample's
-	// distribution sketches travel inside the artifact, so any process
-	// serving this model can later ask whether the source still looks like
-	// the data the model was learned on.
-	begin = time.Now()
-	snap := model.Capture(ord, est)
-	snap.LearnedAtUnix = time.Now().Unix()
-	snap.SampleSize = sample.Size()
-	snap.Pivot = stats.Pivot
-	snap.Drift = drift.BuildProfile(sample, ord.BestKey.Attrs.Members(), drift.SketchConfig{})
-	snap.Drift.Pivot = stats.Pivot
-	stage("snapshot", begin)
-	stats.TotalMs = float64(time.Since(start).Nanoseconds()) / 1e6
-
-	return &Model{Ord: ord, Est: est, Stats: stats, Snap: snap, Built: true}, nil
+	return &Model{Ord: m.Ord, Est: m.Est, Stats: m.Stats, Snap: m.Snap, Built: true}, nil
 }
 
 // LoadOrBuildModel restores the model snapshot at path when one exists;

@@ -207,7 +207,7 @@ func TestDebugLearnProfile(t *testing.T) {
 	if stats.LatticeLevels == 0 || stats.SetsExamined == 0 {
 		t.Errorf("learn stats lack the TANE lattice profile: %+v", stats)
 	}
-	wantStages := []string{"probe", "sample", "mine", "order", "supertuple", "snapshot"}
+	wantStages := []string{"probe", "sample", "mine", "order", "supertuple", "similarity", "snapshot"}
 	if len(stats.Stages) != len(wantStages) {
 		t.Fatalf("stages = %v", stats.Stages)
 	}

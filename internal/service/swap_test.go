@@ -59,9 +59,16 @@ func TestPromoteUnderConcurrentLoad(t *testing.T) {
 		}(w)
 	}
 
-	// 24 promotes alternating between two real models, racing the workers.
+	// 24 promotes alternating between two real models. All but the last
+	// race the workers; the last lands after they stop, so none of them can
+	// cache an answer under the final generation before the stale-answer
+	// check below.
 	const swaps = 24
 	for i := 1; i <= swaps; i++ {
+		if i == swaps {
+			stop.Store(true)
+			wg.Wait()
+		}
 		est, ord := estA, ordA
 		if i%2 == 1 {
 			est, ord = estB, ordB
@@ -74,8 +81,6 @@ func TestPromoteUnderConcurrentLoad(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	stop.Store(true)
-	wg.Wait()
 
 	if f := failures.Load(); f != 0 {
 		t.Fatalf("%d/%d requests failed during swaps; first: %v",

@@ -126,8 +126,7 @@ func TestChaosLatencyHonorsContext(t *testing.T) {
 }
 
 // TestChaosConcurrent hammers one Chaos from many goroutines; run under
-// `make race` it proves the injector's state is synchronized (the old Flaky
-// raced on its call counter).
+// `make race` it proves the injector's state is synchronized.
 func TestChaosConcurrent(t *testing.T) {
 	c := NewChaos(NewLocal(testRel()), ChaosConfig{Seed: 7, FailProb: 0.3, RateLimitProb: 0.1, TruncateProb: 0.2})
 	q := allRows(c)
@@ -152,37 +151,29 @@ func TestChaosConcurrent(t *testing.T) {
 	}
 }
 
-// TestFlakyConcurrent covers the deprecated injector's fixed race: the call
-// counter is now mutex-guarded.
-func TestFlakyConcurrent(t *testing.T) {
-	f := &Flaky{Src: NewLocal(testRel()), FailEvery: 4}
-	q := allRows(f)
-	const goroutines, perG = 8, 25
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				_, _ = f.Query(q, 0)
-			}
-		}()
+// TestChaosProbabilistic: FailProb fails about that share of calls.
+func TestChaosProbabilistic(t *testing.T) {
+	c := NewChaos(NewLocal(testRel()), ChaosConfig{Seed: 1, FailProb: 0.5})
+	q := allRows(c)
+	var failed int
+	for i := 0; i < 200; i++ {
+		if _, err := c.Query(q, 1); err != nil {
+			failed++
+		}
 	}
-	wg.Wait()
-	if f.Calls() != goroutines*perG {
-		t.Errorf("calls = %d, want %d", f.Calls(), goroutines*perG)
+	if failed < 60 || failed > 140 {
+		t.Errorf("FailProb=0.5 over 200 calls failed %d times", failed)
 	}
 }
 
-// TestFlakyContextDelegation: the deprecated injector now implements
-// ContextSource, so wrapping a context-aware source no longer strips
-// cancellation.
-func TestFlakyContextDelegation(t *testing.T) {
-	f := &Flaky{Src: NewLocal(testRel())}
-	var _ ContextSource = f
+// TestChaosContextDelegation: with no latency injected, Chaos still hands
+// the caller's context to the wrapped source, so a cancelled caller is not
+// served.
+func TestChaosContextDelegation(t *testing.T) {
+	c := NewChaos(NewLocal(testRel()), ChaosConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := f.QueryContext(ctx, allRows(f), 0); !errors.Is(err, context.Canceled) {
+	if _, err := c.QueryContext(ctx, allRows(c), 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context ignored: err = %v", err)
 	}
 }
@@ -190,7 +181,6 @@ func TestFlakyContextDelegation(t *testing.T) {
 // Compile-time interface checks for every wrapper in the package.
 var (
 	_ ContextSource = (*Chaos)(nil)
-	_ ContextSource = (*Flaky)(nil)
 	_ ContextSource = (*Resilient)(nil)
 	_ ContextSource = (*ProbeCounter)(nil)
 	_ ContextSource = (*Client)(nil)

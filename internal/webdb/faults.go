@@ -190,66 +190,3 @@ func (c *Chaos) QueryContext(ctx context.Context, q *query.Query, limit int) ([]
 	}
 	return ts, err
 }
-
-// Flaky wraps a Source and fails a configurable fraction of queries.
-//
-// Deprecated: Flaky is the original fault injector, kept for its tests and
-// call sites; new code should use Chaos, which adds rate-limit, burst,
-// latency and truncation modes behind the same determinism guarantee. Flaky
-// is now safe for concurrent use and implements ContextSource by
-// delegation (both were bugs: the calls counter raced, and wrapping a
-// Client stripped cancellation).
-type Flaky struct {
-	Src Source
-	// FailEvery makes every n-th query fail (deterministic). 0 disables.
-	FailEvery int
-	// FailProb makes each query fail with this probability using Rng.
-	FailProb float64
-	Rng      *rand.Rand
-
-	mu    sync.Mutex
-	calls int
-}
-
-// Schema implements Source.
-func (f *Flaky) Schema() *relation.Schema { return f.Src.Schema() }
-
-// inject decides the current query's fate under the mutex. FailEvery is
-// checked before any rng draw so the probabilistic stream is unaffected by
-// deterministic failures (tests rely on both being reproducible).
-func (f *Flaky) inject() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.calls++
-	if f.FailEvery > 0 && f.calls%f.FailEvery == 0 {
-		return fmt.Errorf("%w: query %d", ErrInjected, f.calls)
-	}
-	if f.FailProb > 0 && f.Rng != nil && f.Rng.Float64() < f.FailProb {
-		return fmt.Errorf("%w: query %d", ErrInjected, f.calls)
-	}
-	return nil
-}
-
-// Query implements Source, injecting failures per configuration.
-func (f *Flaky) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
-	if err := f.inject(); err != nil {
-		return nil, err
-	}
-	return f.Src.Query(q, limit)
-}
-
-// QueryContext implements ContextSource by delegating to the wrapped
-// source, so fault-injection middleware does not strip cancellation.
-func (f *Flaky) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
-	if err := f.inject(); err != nil {
-		return nil, err
-	}
-	return QueryContext(ctx, f.Src, q, limit)
-}
-
-// Calls returns the number of queries seen (including failed ones).
-func (f *Flaky) Calls() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.calls
-}

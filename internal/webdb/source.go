@@ -137,13 +137,6 @@ func NewLocal(rel *relation.Relation) *Local {
 	return &Local{eng: engine.New(rel)}
 }
 
-// NewLocalLegacy wraps a relation in a local source backed by the legacy
-// row-at-a-time engine — the escape hatch behind aimq-serve's
-// -legacy-engine flag, and the oracle half of differential comparisons.
-func NewLocalLegacy(rel *relation.Relation) *Local {
-	return &Local{eng: engine.NewLegacy(rel)}
-}
-
 // Schema implements Source.
 func (l *Local) Schema() *relation.Schema { return l.eng.Relation().Schema() }
 
@@ -192,7 +185,6 @@ func engineExecRecord(ex *engine.QueryExplain) obs.EngineExec {
 	ee := obs.EngineExec{
 		Empty:         ex.Empty,
 		FullScan:      ex.FullScan,
-		Legacy:        ex.Legacy,
 		Chunks:        ex.Chunks,
 		ChunksVisited: ex.ChunksVisited,
 		ZoneKilled:    ex.ZoneKilled,

@@ -2,8 +2,6 @@ package webdb
 
 import (
 	"encoding/json"
-	"errors"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -231,40 +229,6 @@ func TestClientRetries(t *testing.T) {
 	c.Retries = 2
 	if _, err := c.Query(query.New(c.Schema()), 1); err != nil {
 		t.Errorf("retrying client failed: %v", err)
-	}
-}
-
-func TestFlakyDeterministic(t *testing.T) {
-	f := &Flaky{Src: NewLocal(testRel()), FailEvery: 3}
-	q := query.New(f.Schema())
-	var failed int
-	for i := 0; i < 9; i++ {
-		if _, err := f.Query(q, 1); err != nil {
-			if !errors.Is(err, ErrInjected) {
-				t.Fatalf("wrong error type: %v", err)
-			}
-			failed++
-		}
-	}
-	if failed != 3 {
-		t.Errorf("FailEvery=3 over 9 calls failed %d times, want 3", failed)
-	}
-	if f.Calls() != 9 {
-		t.Errorf("Calls = %d", f.Calls())
-	}
-}
-
-func TestFlakyProbabilistic(t *testing.T) {
-	f := &Flaky{Src: NewLocal(testRel()), FailProb: 0.5, Rng: rand.New(rand.NewSource(1))}
-	q := query.New(f.Schema())
-	var failed int
-	for i := 0; i < 200; i++ {
-		if _, err := f.Query(q, 1); err != nil {
-			failed++
-		}
-	}
-	if failed < 60 || failed > 140 {
-		t.Errorf("FailProb=0.5 over 200 calls failed %d times", failed)
 	}
 }
 

@@ -89,14 +89,14 @@ func (db *DB) SuperTuple(attr, value string, topN int) (string, error) {
 	if !db.Learned() {
 		return "", ErrNotLearned
 	}
-	if db.idx == nil {
+	if db.est.Index == nil {
 		return "", fmt.Errorf("aimq: supertuples unavailable on a model loaded with LoadModel; run Learn to rebuild them")
 	}
 	idx, ok := db.Schema().Index(attr)
 	if !ok {
 		return "", fmt.Errorf("aimq: unknown attribute %q", attr)
 	}
-	st := db.idx.Get(idx, value)
+	st := db.est.Index.Get(idx, value)
 	if st == nil {
 		return "", fmt.Errorf("aimq: no supertuple for %s=%s (value unseen in sample)", attr, value)
 	}

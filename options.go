@@ -1,20 +1,15 @@
 package aimq
 
-import "aimq/internal/relation"
+import (
+	"aimq/internal/learn"
+	"aimq/internal/relation"
+)
 
 // config holds all tunables of a session; every field has a paper-aligned
 // default and a corresponding Option.
 type config struct {
-	seed         int64
-	pivot        string
-	sample       *relation.Relation
-	sampleSize   int
-	probeWorkers int
-
-	terr    float64
-	maxLHS  int
-	buckets int
-	minSim  float64
+	learn  learn.Config // zero fields take learn's defaults
+	sample *relation.Relation
 
 	tsim              float64
 	k                 int
@@ -28,50 +23,45 @@ type config struct {
 }
 
 func defaultConfig() config {
-	return config{
-		seed:    1,
-		terr:    0.15,
-		buckets: 10,
-		tsim:    0.5,
-		k:       10,
-	}
+	return config{tsim: 0.5, k: 10}
 }
 
 // Option customizes a DB session.
 type Option func(*config)
 
-// WithSeed sets the seed for probing and sampling randomness.
-func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
+// WithSeed sets the seed for probing and sampling randomness (default 1).
+func WithSeed(seed int64) Option { return func(c *config) { c.learn.Seed = seed } }
 
 // WithPivot sets the attribute used to build spanning probe queries. By
 // default the lowest-cardinality attribute found by a seed probe is used.
-func WithPivot(attr string) Option { return func(c *config) { c.pivot = attr } }
+func WithPivot(attr string) Option { return func(c *config) { c.learn.Pivot = attr } }
 
 // WithSample supplies a pre-collected sample, skipping the probing phase.
 func WithSample(rel *relation.Relation) Option { return func(c *config) { c.sample = rel } }
 
 // WithSampleSize caps the probed sample used for mining (0 = keep all).
-func WithSampleSize(n int) Option { return func(c *config) { c.sampleSize = n } }
+func WithSampleSize(n int) Option { return func(c *config) { c.learn.SampleSize = n } }
 
-// WithProbeParallelism issues this many spanning probes concurrently during
-// Learn (default 1). The probed sample is identical regardless: results
-// merge in query order.
-func WithProbeParallelism(n int) Option { return func(c *config) { c.probeWorkers = n } }
+// WithProbeParallelism sets Learn's worker count: spanning probes in
+// flight, TANE level workers, supertuple-build goroutines and the VSim pair
+// sweep. The default 0 probes, mines and builds serially and sweeps with
+// GOMAXPROCS goroutines. The learned model is identical at any count.
+func WithProbeParallelism(n int) Option { return func(c *config) { c.learn.Workers = n } }
 
 // WithErrorThreshold sets TANE's g3 error threshold Terr (default 0.15).
-func WithErrorThreshold(terr float64) Option { return func(c *config) { c.terr = terr } }
+func WithErrorThreshold(terr float64) Option { return func(c *config) { c.learn.Terr = terr } }
 
 // WithMaxLHS bounds the antecedent size of mined dependencies (default:
 // min(arity−1, 3)).
-func WithMaxLHS(n int) Option { return func(c *config) { c.maxLHS = n } }
+func WithMaxLHS(n int) Option { return func(c *config) { c.learn.MaxLHS = n } }
 
 // WithBuckets sets the numeric discretization used in supertuples
 // (default 10).
-func WithBuckets(n int) Option { return func(c *config) { c.buckets = n } }
+func WithBuckets(n int) Option { return func(c *config) { c.learn.Buckets = n } }
 
 // WithMinSim drops precomputed value similarities below the given value,
 // keeping the similarity matrices sparse (default 0).
-func WithMinSim(s float64) Option { return func(c *config) { c.minSim = s } }
+func WithMinSim(s float64) Option { return func(c *config) { c.learn.MinSim = s } }
 
 // WithThreshold sets the answer similarity threshold Tsim (default 0.5).
 func WithThreshold(tsim float64) Option { return func(c *config) { c.tsim = tsim } }

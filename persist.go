@@ -8,12 +8,17 @@ import (
 
 // SaveModel persists the learned model (attribute ordering, importance
 // weights and mined value similarities) as JSON, so future sessions can
-// LoadModel instead of re-running the offline Learn phase.
+// LoadModel instead of re-running the offline Learn phase. It saves the
+// current artifacts, including any AdaptToWorkload or Feedback changes,
+// with the provenance and drift baseline of the learn run (or of the
+// loaded snapshot), so aimq-serve can monitor the saved model for drift.
 func (db *DB) SaveModel(path string) error {
 	if !db.Learned() {
 		return ErrNotLearned
 	}
-	return model.Save(path, model.Capture(db.ord, db.est))
+	snap := model.Capture(db.ord, db.est)
+	snap.Provenance = db.prov
+	return model.Save(path, snap)
 }
 
 // LoadModel restores a model saved by SaveModel, skipping Learn. The
@@ -31,9 +36,6 @@ func (db *DB) LoadModel(path string) error {
 	if err != nil {
 		return fmt.Errorf("aimq: %w", err)
 	}
-	db.ord = ord
-	db.est = est
-	db.idx = nil
-	db.probed = nil
+	db.ord, db.est, db.prov, db.probed = ord, est, snap.Provenance, nil
 	return nil
 }

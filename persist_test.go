@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"aimq/internal/datagen"
+	"aimq/internal/model"
+	"aimq/internal/service"
+	"aimq/internal/webdb"
 )
 
 func TestSaveLoadModelRoundTrip(t *testing.T) {
@@ -96,5 +99,79 @@ func TestLoadModelSchemaMismatch(t *testing.T) {
 	}
 	if err := db.LoadModel(path + ".missing"); err == nil {
 		t.Errorf("missing model file accepted")
+	}
+}
+
+// TestSaveModelCarriesProvenance: a model learned through the public API
+// and saved with SaveModel carries the learn run's provenance and drift
+// baseline, so a serving process that loads it can monitor it for drift.
+// Saves after adaptation capture the adapted artifacts under the same
+// provenance, and a LoadModel → SaveModel round trip keeps it.
+func TestSaveModelCarriesProvenance(t *testing.T) {
+	gen := datagen.GenerateCarDB(3000, 7)
+	db := Open(gen.Rel)
+	if err := db.Learn(); err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/model.json"
+	if err := db.SaveModel(path); err != nil {
+		t.Fatal(err)
+	}
+	m, err := service.LoadOrBuildModel(path, webdb.NewLocal(gen.Rel), service.LearnConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Built {
+		t.Fatal("LoadOrBuildModel re-learned instead of loading the saved model")
+	}
+	snap := m.Snap
+	if snap.Drift == nil || snap.LearnedAtUnix == 0 || snap.SampleSize != db.Sample().Size() || snap.Pivot == "" {
+		t.Errorf("saved provenance incomplete: learned_at %d, sample %d (want %d), pivot %q, drift %v",
+			snap.LearnedAtUnix, snap.SampleSize, db.Sample().Size(), snap.Pivot, snap.Drift != nil)
+	}
+	if got, want := m.Info().Fingerprint, model.Capture(db.ord, db.est).Fingerprint(); got != want {
+		t.Errorf("loaded fingerprint %s, DB's %s", got, want)
+	}
+
+	// Adapt, save again: the adapted weights are saved, the provenance kept.
+	for i := 0; i < 5; i++ {
+		if _, err := db.Ask("Color like Red"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.AdaptToWorkload(0.5); err != nil {
+		t.Fatal(err)
+	}
+	adapted := model.Capture(db.ord, db.est)
+	if err := db.SaveModel(path); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := model.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saved.Fingerprint() != adapted.Fingerprint() || saved.Fingerprint() == snap.Fingerprint() {
+		t.Errorf("save after AdaptToWorkload did not capture the adapted model")
+	}
+	if saved.Provenance.LearnedAtUnix != snap.LearnedAtUnix || saved.Drift == nil {
+		t.Errorf("save after AdaptToWorkload lost the provenance")
+	}
+
+	// LoadModel then SaveModel keeps the loaded provenance.
+	fresh := Open(gen.Rel)
+	if err := fresh.LoadModel(path); err != nil {
+		t.Fatal(err)
+	}
+	again := t.TempDir() + "/again.json"
+	if err := fresh.SaveModel(again); err != nil {
+		t.Fatal(err)
+	}
+	resaved, err := model.Load(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resaved.Pivot != snap.Pivot || resaved.SampleSize != snap.SampleSize ||
+		resaved.LearnedAtUnix != snap.LearnedAtUnix || resaved.Drift == nil {
+		t.Errorf("LoadModel → SaveModel dropped the provenance: %+v", resaved.Provenance)
 	}
 }
