@@ -1,6 +1,7 @@
 # Tier-1 checks plus the race-checked serving path.
 #
 #   make check       — everything CI runs
+#   make fmt         — fail when any Go file is not gofmt-clean
 #   make race        — race-check the concurrent packages (service, core,
 #                      webdb, engine's columnar worker pool, similarity's
 #                      chunked pair sweep, the learn pipeline's workers)
@@ -21,9 +22,12 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X aimq/internal/version.Version=$(VERSION)
 
-.PHONY: check vet build test race perfbench bench-serve bench-learn bench-engine bench bench-quick bench-check baseline
+.PHONY: check fmt vet build test race perfbench bench-serve bench-learn bench-engine bench bench-quick bench-check baseline
 
-check: vet build test race perfbench
+check: fmt vet build test race perfbench
+
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

@@ -296,6 +296,17 @@ func run(c config, logger *slog.Logger) error {
 			"fingerprint", info.Fingerprint)
 	}
 
+	engCfg := core.Config{
+		K:                 c.k,
+		Tsim:              c.tsim,
+		MaxQueriesPerBase: c.maxQPB,
+		OnFailure:         core.FailAbort,
+		DisablePruning:    !c.prune,
+		KeyPruneMaxError:  c.keyPruneErr,
+	}
+	if c.failDegrade {
+		engCfg.OnFailure = core.FailDegrade
+	}
 	var auditW *audit.Writer
 	if c.auditLog != "" {
 		auditW, err = audit.NewWriter(audit.Config{
@@ -307,14 +318,7 @@ func run(c config, logger *slog.Logger) error {
 				Service:            version.Version,
 				ModelFingerprint:   info.Fingerprint,
 				ModelLearnedAtUnix: info.LearnedAtUnix,
-				Engine: audit.EngineConfig{
-					K:                 c.k,
-					Tsim:              c.tsim,
-					MaxQueriesPerBase: c.maxQPB,
-					DisablePruning:    !c.prune,
-					KeyPruneMaxError:  c.keyPruneErr,
-					FailDegrade:       c.failDegrade,
-				},
+				Engine:             audit.EngineConfigOf(engCfg),
 			},
 		})
 		if err != nil {
@@ -332,17 +336,6 @@ func run(c config, logger *slog.Logger) error {
 			"sample", c.auditSample, "max_bytes", c.auditMaxBytes, "max_age", c.auditMaxAge)
 	}
 
-	engCfg := core.Config{
-		K:                 c.k,
-		Tsim:              c.tsim,
-		MaxQueriesPerBase: c.maxQPB,
-		OnFailure:         core.FailAbort,
-		DisablePruning:    !c.prune,
-		KeyPruneMaxError:  c.keyPruneErr,
-	}
-	if c.failDegrade {
-		engCfg.OnFailure = core.FailDegrade
-	}
 	svc := service.New(src, m.Est, &core.Guided{Ord: m.Ord}, service.Config{
 		Engine:          engCfg,
 		CacheSize:       c.cacheSize,

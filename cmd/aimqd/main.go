@@ -10,6 +10,8 @@
 //
 //	GET /schema                         — attribute names and types
 //	GET /query?Make=Ford&Price.lt=9000  — boolean conjunctive query
+//	GET /debug/traces                   — retained probe traces (-trace-ring > 0)
+//	GET /debug/traces/export            — the same, as Perfetto trace-event JSON
 //
 // Query the served database with the aimq CLI:
 //
@@ -20,7 +22,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -73,44 +74,9 @@ func run(data, addr string, idleTimeout, drain time.Duration, traceRing int) err
 		return err
 	}
 	src := &webdb.ProbeCounter{Src: webdb.NewLocal(rel)}
-	server := webdb.NewServer(src)
-	var root http.Handler = server
-	if traceRing > 0 {
-		// Tracing on: every /query runs under a recorder that joins the
-		// caller's traceparent (a mediator's relaxation trace continues here),
-		// and the finished traces — engine EXPLAIN included — are retained
-		// for /debug/traces and the Perfetto export.
-		ring := obs.NewRing(traceRing)
-		server.EnableTracing(ring)
-		mux := http.NewServeMux()
-		mux.Handle("/", server)
-		mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, _ *http.Request) {
-			recent, slowest := ring.Snapshot()
-			writeJSON(w, map[string]any{
-				"retained": len(recent),
-				"recent":   recent,
-				"slowest":  slowest,
-			})
-		})
-		mux.HandleFunc("GET /debug/traces/export", func(w http.ResponseWriter, _ *http.Request) {
-			recent, slowest := ring.Snapshot()
-			seen := map[string]bool{}
-			var traces []obs.Trace
-			for _, t := range append(recent, slowest...) {
-				if seen[t.ID] {
-					continue
-				}
-				seen[t.ID] = true
-				traces = append(traces, t)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			_ = obs.WriteChromeTrace(w, traces)
-		})
-		root = mux
-	}
 	srv := &http.Server{
 		Addr:              addr,
-		Handler:           logRequests(root),
+		Handler:           handler(src, traceRing),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      60 * time.Second,
@@ -143,6 +109,24 @@ func run(data, addr string, idleTimeout, drain time.Duration, traceRing int) err
 	return nil
 }
 
+// handler is aimqd's HTTP surface over src: the form interface, logged per
+// request. With traceRing > 0 every /query runs under a recorder that joins
+// the caller's traceparent (a mediator's relaxation trace continues here),
+// and the finished traces — engine EXPLAIN included — are retained for
+// /debug/traces and its Perfetto export.
+func handler(src webdb.Source, traceRing int) http.Handler {
+	server := webdb.NewServer(src)
+	if traceRing <= 0 {
+		return logRequests(server)
+	}
+	ring := obs.NewRing(traceRing)
+	server.EnableTracing(ring)
+	mux := http.NewServeMux()
+	mux.Handle("/", server)
+	obs.HandleTraces(mux, ring, nil)
+	return logRequests(mux)
+}
+
 // logRequests emits one structured line per request, tagged with a request
 // ID that is echoed back as X-Request-ID (the caller's own ID is kept when
 // it forwards one, so a mediator's trace and the source's log correlate).
@@ -164,9 +148,4 @@ func logRequests(next http.Handler) http.Handler {
 		}
 		slog.Info("request", attrs...)
 	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
 }

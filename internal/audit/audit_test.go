@@ -2,13 +2,17 @@ package audit
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"aimq/internal/core"
 )
 
 func event(i int, answers int) *Event {
@@ -416,5 +420,42 @@ func TestReplayCountsErrors(t *testing.T) {
 	}
 	if len(rep.Diffs) != 1 || rep.Diffs[0].Err == "" {
 		t.Errorf("diffs = %+v", rep.Diffs)
+	}
+}
+
+// TestEngineConfigRoundTrip: every replay-relevant core.Config field
+// survives the trip through a log header's engine block, JSON included, so
+// an in-process replay runs under the configuration the answers were
+// recorded with.
+func TestEngineConfigRoundTrip(t *testing.T) {
+	for _, cfg := range []core.Config{
+		{
+			K: 7, Tsim: 0.65, BaseLimit: 12, PerQueryLimit: 150, TargetRelevant: 40,
+			MaxQueriesPerBase: 9, OnFailure: core.FailDegrade, DisablePruning: true,
+			KeyPruneMaxError: 0.05,
+		},
+		{K: 3, Tsim: 0.4, OnFailure: core.FailAbort},
+	} {
+		ec := EngineConfigOf(cfg)
+		if cfg.OnFailure == core.FailDegrade {
+			// The fully set config must reach every field of the block.
+			v := reflect.ValueOf(ec)
+			for i := 0; i < v.NumField(); i++ {
+				if v.Field(i).IsZero() {
+					t.Errorf("EngineConfig.%s not recorded", v.Type().Field(i).Name)
+				}
+			}
+		}
+		b, err := json.Marshal(Header{Engine: ec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h Header
+		if err := json.Unmarshal(b, &h); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Engine.CoreConfig(); !reflect.DeepEqual(got, cfg) {
+			t.Errorf("round trip changed the engine config\n got %+v\nwant %+v", got, cfg)
+		}
 	}
 }

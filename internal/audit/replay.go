@@ -73,7 +73,7 @@ type EngineTarget struct {
 
 // CoreConfig converts the header's engine block back to a core.Config.
 func (ec EngineConfig) CoreConfig() core.Config {
-	return core.Config{
+	c := core.Config{
 		K:                 ec.K,
 		Tsim:              ec.Tsim,
 		BaseLimit:         ec.BaseLimit,
@@ -82,6 +82,26 @@ func (ec EngineConfig) CoreConfig() core.Config {
 		MaxQueriesPerBase: ec.MaxQueriesPerBase,
 		DisablePruning:    ec.DisablePruning,
 		KeyPruneMaxError:  ec.KeyPruneMaxError,
+	}
+	if ec.FailDegrade {
+		c.OnFailure = core.FailDegrade
+	}
+	return c
+}
+
+// EngineConfigOf records the replay-relevant fields of c for a log header;
+// CoreConfig is its inverse.
+func EngineConfigOf(c core.Config) EngineConfig {
+	return EngineConfig{
+		K:                 c.K,
+		Tsim:              c.Tsim,
+		BaseLimit:         c.BaseLimit,
+		PerQueryLimit:     c.PerQueryLimit,
+		TargetRelevant:    c.TargetRelevant,
+		MaxQueriesPerBase: c.MaxQueriesPerBase,
+		DisablePruning:    c.DisablePruning,
+		KeyPruneMaxError:  c.KeyPruneMaxError,
+		FailDegrade:       c.OnFailure == core.FailDegrade,
 	}
 }
 

@@ -31,10 +31,6 @@ type Config struct {
 	// TargetRelevant stops relaxation once this many tuples above Tsim
 	// have been found. 0 means keep going until the schedule is exhausted.
 	TargetRelevant int
-	// MaxTuplesExtracted stops relaxation once the source has returned
-	// this many tuples in total — an examination budget, letting
-	// experiments compare strategies at equal cost. 0 means unlimited.
-	MaxTuplesExtracted int
 	// MaxQueriesPerBase caps relaxation queries issued per base tuple.
 	// High-arity relations (CensusDB: 13 attributes) have combinatorial
 	// schedules; the greedy order puts the most productive relaxations at
@@ -293,12 +289,6 @@ func (e *Engine) AnswerContext(ctx context.Context, q *query.Query) (*Result, er
 
 	// Steps 2–8: relax each base tuple's fully-bound query.
 	qualified := len(aes)
-	done := func() bool {
-		if cfg.TargetRelevant > 0 && qualified >= cfg.TargetRelevant {
-			return true
-		}
-		return cfg.MaxTuplesExtracted > 0 && res.Work.TuplesExtracted >= cfg.MaxTuplesExtracted
-	}
 	spRelax := rec.StartSpan("relax")
 expansion:
 	for bi, t := range base[:limit] {
@@ -311,7 +301,7 @@ expansion:
 			pb = e.pruneBoundFor(t, bound, all, sc, cfg.KeyPruneMaxError)
 		}
 		for _, drop := range e.Relaxer.Schedule(bound) {
-			if ctx.Err() != nil || done() {
+			if ctx.Err() != nil || (cfg.TargetRelevant > 0 && qualified >= cfg.TargetRelevant) {
 				break expansion
 			}
 			if cfg.MaxQueriesPerBase > 0 && issued >= cfg.MaxQueriesPerBase {

@@ -26,7 +26,7 @@ func (f *flakySource) Query(q *query.Query, limit int) ([]relation.Tuple, error)
 
 func TestMonitorBacksOffOnProbeFailures(t *testing.T) {
 	base := genRel(2000, 1, 1, "")
-	profile := BuildProfile(base, []int{0}, SketchConfig{})
+	profile := BuildProfile(base, []int{0})
 	profile.Pivot = "Model"
 
 	src := &flakySource{src: webdb.NewLocal(genRel(2000, 11, 1, "")), broken: true}
@@ -82,7 +82,7 @@ func TestMonitorBacksOffOnProbeFailures(t *testing.T) {
 
 func TestMonitorBackoffCapConfigurable(t *testing.T) {
 	base := genRel(500, 1, 1, "")
-	profile := BuildProfile(base, []int{0}, SketchConfig{})
+	profile := BuildProfile(base, []int{0})
 	src := &flakySource{src: webdb.NewLocal(base), broken: true}
 	mon := NewMonitor(src, profile, MonitorConfig{
 		SampleLimit:       400,
@@ -99,7 +99,7 @@ func TestMonitorBackoffCapConfigurable(t *testing.T) {
 
 func TestSetBaselineSwapsComparisonAnchor(t *testing.T) {
 	oldBase := genRel(2000, 1, 1, "")
-	oldProfile := BuildProfile(oldBase, []int{0}, SketchConfig{})
+	oldProfile := BuildProfile(oldBase, []int{0})
 	oldProfile.Pivot = "Model"
 
 	// The live source has drifted far from the old baseline.
@@ -115,7 +115,7 @@ func TestSetBaselineSwapsComparisonAnchor(t *testing.T) {
 
 	// Rebase onto a profile of the shifted data (what a re-learn produces):
 	// the same source now compares clean.
-	newProfile := BuildProfile(genRel(2000, 13, 2.5, ""), []int{0}, SketchConfig{})
+	newProfile := BuildProfile(genRel(2000, 13, 2.5, ""), []int{0})
 	newProfile.Pivot = "Model"
 	mon.SetBaseline(newProfile)
 	if got := mon.Baseline(); got != newProfile {

@@ -29,28 +29,14 @@ import (
 	"aimq/internal/relation"
 )
 
-// SketchConfig bounds the per-attribute sketches. Zero values select
-// defaults sized for web-database schemas (tens of categories, smooth
-// numerics).
-type SketchConfig struct {
-	// MaxCategories caps a categorical frequency table; values beyond the
-	// most frequent MaxCategories are pooled into the "other" bucket.
-	// Default 64.
-	MaxCategories int
-	// Bins is the number of equi-width histogram bins per numeric
-	// attribute. Default 20.
-	Bins int
-}
-
-func (c SketchConfig) withDefaults() SketchConfig {
-	if c.MaxCategories == 0 {
-		c.MaxCategories = 64
-	}
-	if c.Bins == 0 {
-		c.Bins = 20
-	}
-	return c
-}
+// Sketch bounds, sized for web-database schemas (tens of categories,
+// smooth numerics): a categorical frequency table keeps its maxCategories
+// most frequent values and pools the rest into the "other" bucket; a
+// numeric attribute gets histBins equi-width bins.
+const (
+	maxCategories = 64
+	histBins      = 20
+)
 
 // AttrSketch is one attribute's distribution snapshot. Exactly one of
 // Freq/Other (categorical) or Edges/Counts plus the moments (numeric) is
@@ -94,8 +80,7 @@ type Profile struct {
 
 // BuildProfile sketches every attribute of rel and measures keyAttrs' g3
 // error on it. rel is typically the probe sample the model was mined from.
-func BuildProfile(rel *relation.Relation, keyAttrs []int, cfg SketchConfig) *Profile {
-	cfg = cfg.withDefaults()
+func BuildProfile(rel *relation.Relation, keyAttrs []int) *Profile {
 	sc := rel.Schema()
 	p := &Profile{
 		SampleSize: rel.Size(),
@@ -103,13 +88,13 @@ func BuildProfile(rel *relation.Relation, keyAttrs []int, cfg SketchConfig) *Pro
 		KeyAttrs:   append([]int(nil), keyAttrs...),
 	}
 	for a := 0; a < sc.Arity(); a++ {
-		p.Attrs[a] = sketchAttr(rel, a, cfg)
+		p.Attrs[a] = sketchAttr(rel, a)
 	}
 	p.KeyError = KeyError(rel, keyAttrs)
 	return p
 }
 
-func sketchAttr(rel *relation.Relation, attr int, cfg SketchConfig) AttrSketch {
+func sketchAttr(rel *relation.Relation, attr int) AttrSketch {
 	sc := rel.Schema()
 	s := AttrSketch{Name: sc.Attr(attr).Name, Type: sc.Type(attr).String()}
 	if sc.Type(attr) == relation.Categorical {
@@ -123,7 +108,7 @@ func sketchAttr(rel *relation.Relation, attr int, cfg SketchConfig) AttrSketch {
 			s.Count++
 			freq[v.Str]++
 		}
-		s.Freq, s.Other = capFreq(freq, cfg.MaxCategories)
+		s.Freq, s.Other = capFreq(freq, maxCategories)
 		return s
 	}
 
@@ -150,7 +135,7 @@ func sketchAttr(rel *relation.Relation, attr int, cfg SketchConfig) AttrSketch {
 	if variance := sumSq/float64(s.Count) - s.Mean*s.Mean; variance > 0 {
 		s.Std = math.Sqrt(variance)
 	}
-	s.Edges = equiWidthEdges(min, max, cfg.Bins)
+	s.Edges = equiWidthEdges(min, max, histBins)
 	s.Counts = make([]int, len(s.Edges)-1)
 	for _, t := range rel.Tuples() {
 		if v := t[attr]; !v.IsNull() {

@@ -50,7 +50,7 @@ func genRel(n int, seed int64, priceScale float64, onlyModel string) *relation.R
 
 func TestBuildProfileSketches(t *testing.T) {
 	rel := genRel(1000, 1, 1, "")
-	p := BuildProfile(rel, []int{0}, SketchConfig{})
+	p := BuildProfile(rel, []int{0})
 	if p.SampleSize != 1000 {
 		t.Fatalf("SampleSize = %d", p.SampleSize)
 	}
@@ -102,7 +102,7 @@ func TestCapFreqPoolsTail(t *testing.T) {
 
 func TestCompareStableSample(t *testing.T) {
 	base := genRel(2000, 1, 1, "")
-	p := BuildProfile(base, []int{0}, SketchConfig{})
+	p := BuildProfile(base, []int{0})
 	fresh := genRel(2000, 99, 1, "") // same distribution, new draw
 	rep, err := Compare(p, fresh)
 	if err != nil {
@@ -121,7 +121,7 @@ func TestCompareStableSample(t *testing.T) {
 
 func TestCompareDetectsShift(t *testing.T) {
 	base := genRel(2000, 1, 1, "")
-	p := BuildProfile(base, []int{0}, SketchConfig{})
+	p := BuildProfile(base, []int{0})
 
 	// Price scaled 2x: every observation leaves its baseline bin.
 	priced, err := Compare(p, genRel(2000, 5, 2, ""))
@@ -164,7 +164,7 @@ func TestCompareDetectsShift(t *testing.T) {
 
 func TestCompareNullRateDelta(t *testing.T) {
 	base := genRel(500, 1, 1, "")
-	p := BuildProfile(base, nil, SketchConfig{})
+	p := BuildProfile(base, nil)
 	fresh := genRel(500, 2, 1, "")
 	// Null out half the Make values.
 	for i, tup := range fresh.Tuples() {
@@ -182,7 +182,7 @@ func TestCompareNullRateDelta(t *testing.T) {
 }
 
 func TestCompareSchemaMismatch(t *testing.T) {
-	p := BuildProfile(genRel(100, 1, 1, ""), nil, SketchConfig{})
+	p := BuildProfile(genRel(100, 1, 1, ""), nil)
 	other := relation.New(relation.MustSchema(
 		relation.Attribute{Name: "X", Type: relation.Categorical},
 	))
@@ -193,7 +193,7 @@ func TestCompareSchemaMismatch(t *testing.T) {
 
 func TestMonitorTickAndBreach(t *testing.T) {
 	base := genRel(2000, 1, 1, "")
-	profile := BuildProfile(base, []int{0}, SketchConfig{})
+	profile := BuildProfile(base, []int{0})
 	profile.Pivot = "Model"
 
 	sw := webdb.NewSwap(webdb.NewLocal(genRel(2000, 11, 1, "")))

@@ -33,6 +33,7 @@ import (
 
 	"aimq/internal/bitmap"
 	"aimq/internal/column"
+	"aimq/internal/obs"
 	"aimq/internal/query"
 	"aimq/internal/relation"
 )
@@ -249,11 +250,11 @@ type colPlan struct {
 
 // planTerm records one compiled predicate in the EXPLAIN plan. No-op when
 // no EXPLAIN was requested — the hot path passes ex == nil.
-func planTerm(ex *QueryExplain, s *relation.Schema, attr int, op query.Op, access string, alts int) {
+func planTerm(ex *obs.EngineExec, s *relation.Schema, attr int, op query.Op, access string, alts int) {
 	if ex == nil {
 		return
 	}
-	ex.Plan = append(ex.Plan, PlanTerm{
+	ex.Plan = append(ex.Plan, obs.EnginePlanTerm{
 		Attr:         s.Attr(attr).Name,
 		Op:           op.String(),
 		Access:       access,
@@ -265,7 +266,7 @@ func planTerm(ex *QueryExplain, s *relation.Schema, attr int, op query.Op, acces
 // equality predicate (or an in-list with no present alternative) marks the
 // plan empty — the short-circuit that makes absent-value probes free. When
 // ex is non-nil the chosen access path of every predicate is recorded.
-func (e *Engine) compile(q *query.Query, ex *QueryExplain) colPlan {
+func (e *Engine) compile(q *query.Query, ex *obs.EngineExec) colPlan {
 	var p colPlan
 	s := q.Schema
 	for _, pr := range q.Preds {
@@ -376,7 +377,7 @@ func (e *Engine) compile(q *query.Query, ex *QueryExplain) colPlan {
 // when counting), the count (counting mode only), the per-position scan
 // work performed, and the chunk-level execution counters. ex, when non-nil,
 // receives the compiled plan (the counters are filled by the caller).
-func (e *Engine) runColumnar(q *query.Query, limit int, countOnly bool, ex *QueryExplain) (out []int, count int, scanned int64, ec execCounters) {
+func (e *Engine) runColumnar(q *query.Query, limit int, countOnly bool, ex *obs.EngineExec) (out []int, count int, scanned int64, ec execCounters) {
 	n := e.store.Len()
 	if len(q.Preds) == 0 {
 		// Full scan of the empty conjunction: every tuple matches.

@@ -3,6 +3,7 @@ package engine
 import (
 	"time"
 
+	"aimq/internal/obs"
 	"aimq/internal/query"
 	"aimq/internal/relation"
 )
@@ -19,41 +20,6 @@ const (
 	// consultation, by dense or sparse kernels.
 	AccessScan = "scan"
 )
-
-// PlanTerm describes one compiled predicate: which attribute and operator,
-// and which access path compile() chose for it.
-type PlanTerm struct {
-	Attr   string
-	Op     string
-	Access string
-	// Alternatives counts the in-list values that resolved (or-postings and
-	// in-list scans only).
-	Alternatives int
-}
-
-// QueryExplain is the EXPLAIN ANALYZE record of one engine execution: the
-// compiled plan plus per-chunk execution counters. Pass a zero value to
-// ExecuteExplained; everything is filled in.
-type QueryExplain struct {
-	Empty    bool // plan short-circuited: dict miss, NULL binding, unknown op
-	FullScan bool // empty conjunction — every tuple matches, no chunk work
-
-	Plan []PlanTerm
-
-	Chunks        int   // chunks in the store
-	ChunksVisited int   // chunks actually evaluated
-	ZoneKilled    int   // chunks eliminated wholesale by a zone map
-	ZoneSkipped   int   // residual checks skipped by a zone blanket-accept
-	PostingEmpty  int   // chunks whose posting AND/OR emptied before residuals
-	DenseRows     int64 // rows swept by dense first-residual kernels
-	SparseChecks  int64 // candidate positions tested by sparse filters
-
-	Scanned  int64 // per-position work (mirrors Stats.TuplesScanned)
-	Matched  int   // positions returned (or counted)
-	Parallel bool  // the chunk worker pool engaged
-
-	Elapsed time.Duration
-}
 
 // execCounters accumulates per-chunk execution telemetry. It is threaded
 // through every columnar evaluation as plain integer adds — no allocation,
@@ -91,21 +57,10 @@ func (e *Engine) foldExec(ec *execCounters) {
 	}
 }
 
-// fillExec copies one query's counters into its EXPLAIN record.
-func (ex *QueryExplain) fillExec(ec *execCounters) {
-	ex.ChunksVisited = ec.chunksVisited
-	ex.ZoneKilled = ec.zoneKilled
-	ex.ZoneSkipped = ec.zoneSkipped
-	ex.PostingEmpty = ec.postingEmpty
-	ex.DenseRows = ec.denseRows
-	ex.SparseChecks = ec.sparseChecks
-	ex.Parallel = ec.parallel
-}
-
 // ExecuteExplained is Execute that also fills ex with the compiled plan and
-// the per-chunk execution counters — the engine's EXPLAIN ANALYZE. A nil ex
-// degrades to plain Execute.
-func (e *Engine) ExecuteExplained(q *query.Query, limit int, ex *QueryExplain) []int {
+// the per-chunk execution counters — the engine's EXPLAIN ANALYZE, in the
+// form traces carry. A nil ex degrades to plain Execute.
+func (e *Engine) ExecuteExplained(q *query.Query, limit int, ex *obs.EngineExec) []int {
 	if ex == nil {
 		return e.Execute(q, limit)
 	}
@@ -117,18 +72,25 @@ func (e *Engine) ExecuteExplained(q *query.Query, limit int, ex *QueryExplain) [
 	e.stats.TuplesScanned.Add(scanned)
 	e.stats.TuplesReturned.Add(int64(len(out)))
 	e.foldExec(&ec)
-	ex.fillExec(&ec)
 	ex.Chunks = e.store.NumChunks()
+	ex.ChunksVisited = ec.chunksVisited
+	ex.ZoneKilled = ec.zoneKilled
+	ex.ZoneSkipped = ec.zoneSkipped
+	ex.PostingEmpty = ec.postingEmpty
+	ex.DenseRows = ec.denseRows
+	ex.SparseChecks = ec.sparseChecks
+	ex.Parallel = ec.parallel
 	ex.Scanned = scanned
 	ex.Matched = len(out)
-	ex.Elapsed = time.Since(start)
-	e.stats.BusyNanos.Add(ex.Elapsed.Nanoseconds())
+	elapsed := time.Since(start)
+	ex.ElapsedUs = float64(elapsed.Nanoseconds()) / 1e3
+	e.stats.BusyNanos.Add(elapsed.Nanoseconds())
 	return out
 }
 
 // ExecuteTuplesExplained is ExecuteTuples with an EXPLAIN record (see
 // ExecuteExplained).
-func (e *Engine) ExecuteTuplesExplained(q *query.Query, limit int, ex *QueryExplain) []relation.Tuple {
+func (e *Engine) ExecuteTuplesExplained(q *query.Query, limit int, ex *obs.EngineExec) []relation.Tuple {
 	pos := e.ExecuteExplained(q, limit, ex)
 	out := make([]relation.Tuple, len(pos))
 	for i, p := range pos {

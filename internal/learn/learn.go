@@ -168,7 +168,7 @@ func (r *run) learn(sample *relation.Relation, cfg Config) (*Model, error) {
 		LearnedAtUnix: time.Now().Unix(),
 		SampleSize:    sample.Size(),
 		Pivot:         cfg.Pivot,
-		Drift:         drift.BuildProfile(sample, ord.BestKey.Attrs.Members(), drift.SketchConfig{}),
+		Drift:         drift.BuildProfile(sample, ord.BestKey.Attrs.Members()),
 	}
 	snap.Drift.Pivot = cfg.Pivot
 	r.stage("snapshot", begin)

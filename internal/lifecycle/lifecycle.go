@@ -41,9 +41,9 @@ type Config struct {
 	// breaches and explicit TriggerRefresh calls).
 	Interval time.Duration
 	// Retry shapes the backoff after a failed or rejected attempt. Only the
-	// delay fields are used (BaseDelay default 30s, MaxDelay default 15m,
-	// Multiplier default 2); the controller never gives up, it just waits
-	// longer — the old model keeps serving meanwhile.
+	// delay fields are used (BaseDelay default 30s, MaxDelay default 15m);
+	// the controller never gives up, it just waits longer — the old model
+	// keeps serving meanwhile.
 	Retry webdb.RetryPolicy
 	// ShadowSample caps how many recent audited queries are replayed against
 	// a candidate before promotion (deduplicated by normalized key, newest
@@ -61,8 +61,6 @@ type Config struct {
 	// Engine carries the serving engine defaults for shadow replays (k and
 	// Tsim come from each recorded event).
 	Engine core.Config
-	// ReplayTimeout bounds each shadow-replayed computation. Default 10s.
-	ReplayTimeout time.Duration
 	// ModelPath is where promoted snapshots are persisted (atomic
 	// tmp+rename); "" disables persistence.
 	ModelPath string
@@ -96,9 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSimDrop == 0 {
 		c.MaxSimDrop = 0.10
-	}
-	if c.ReplayTimeout == 0 {
-		c.ReplayTimeout = 10 * time.Second
 	}
 	if c.Keep == 0 {
 		c.Keep = 2

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"time"
 
 	"aimq/internal/audit"
 	"aimq/internal/core"
@@ -31,6 +32,9 @@ type ShadowReport struct {
 	Accept bool   `json:"accept"`
 	Reason string `json:"reason"`
 }
+
+// replayTimeout bounds each shadow-replayed computation.
+const replayTimeout = 10 * time.Second
 
 // shadowValidate replays a sample of recent audited queries against the
 // candidate model (in-process, against the serving source) and compares
@@ -65,7 +69,7 @@ func (c *Controller) shadowValidate(m *service.Model) (*ShadowReport, error) {
 			Est:     m.Est,
 			Relaxer: &core.Guided{Ord: m.Ord},
 			Engine:  c.cfg.Engine,
-			Timeout: c.cfg.ReplayTimeout,
+			Timeout: replayTimeout,
 		}
 	}
 	rep := &ShadowReport{Sampled: len(events)}

@@ -114,11 +114,11 @@ type EnginePlanTerm struct {
 	Alternatives int `json:"alternatives,omitempty"`
 }
 
-// EngineExec is the EXPLAIN ANALYZE record of one boolean-engine query: the
-// plan compile() chose plus the per-chunk execution counters — zone-map
-// kills and blanket accepts, chunks whose posting AND came up empty, dense
-// kernel rows vs sparse residual checks, and whether the chunk worker pool
-// engaged.
+// EngineExec is the EXPLAIN ANALYZE record of one boolean-engine query,
+// filled in by engine.ExecuteExplained: the plan the engine compiled plus
+// the per-chunk execution counters — zone-map kills and blanket accepts,
+// chunks whose posting AND came up empty, dense kernel rows vs sparse
+// residual checks, and whether the chunk worker pool engaged.
 type EngineExec struct {
 	Empty    bool `json:"empty,omitempty"`     // plan short-circuited (dict miss, null binding, …)
 	FullScan bool `json:"full_scan,omitempty"` // empty conjunction: every tuple matches

@@ -17,24 +17,21 @@ import (
 // short-circuit to 304 on an ETag match without touching the body at all.
 type cachedAnswer struct {
 	payload  *answerPayload
-	rendered []byte // json.Marshal(payload); nil if marshaling failed
+	rendered []byte // json.Marshal(payload)
 	etag     string // strong ETag: fnv64a over rendered, quoted
 }
 
-// newCachedAnswer renders a payload for caching. A marshal failure (not
-// reachable for answerPayload, but kept total) degrades to a struct-only
-// entry that handlers re-encode the old way.
+// newCachedAnswer renders a payload for caching; nil when it does not
+// marshal (not reachable for answerPayload), since re-encoding it per hit
+// would fail the same way.
 func newCachedAnswer(p *answerPayload) *cachedAnswer {
-	ca := &cachedAnswer{payload: p}
 	b, err := json.Marshal(p)
 	if err != nil {
-		return ca
+		return nil
 	}
 	h := fnv.New64a()
 	h.Write(b)
-	ca.rendered = b
-	ca.etag = `"` + strconv.FormatUint(h.Sum64(), 16) + `"`
-	return ca
+	return &cachedAnswer{payload: p, rendered: b, etag: `"` + strconv.FormatUint(h.Sum64(), 16) + `"`}
 }
 
 // lruCache is a fixed-capacity LRU map from cache key to a finished answer
@@ -91,9 +88,13 @@ func (c *lruCache) Contains(key string) bool {
 }
 
 // Add renders and inserts (or refreshes) key, evicting the least recently
-// used entry when over capacity. Refreshing restamps the entry's age.
+// used entry when over capacity. Refreshing restamps the entry's age. A
+// payload that does not render is not cached.
 func (c *lruCache) Add(key string, val *answerPayload) {
 	ca := newCachedAnswer(val)
+	if ca == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {

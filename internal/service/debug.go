@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"aimq/internal/engine"
+	"aimq/internal/obs"
 	"aimq/internal/webdb"
 )
 
@@ -46,8 +47,7 @@ func (s *Service) engine() *engine.Engine {
 // contents — keep the listener off public interfaces.
 func (s *Service) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	mux.HandleFunc("GET /debug/traces/export", s.handleTracesExport)
+	obs.HandleTraces(mux, s.ring, s.fdr)
 	mux.HandleFunc("GET /debug/learn", s.handleLearn)
 	mux.HandleFunc("GET /debug/drift", s.handleDrift)
 	mux.HandleFunc("GET /debug/source", s.handleSource)
@@ -81,8 +81,8 @@ func (s *Service) handleDebugIndex(w http.ResponseWriter, _ *http.Request) {
 // card merged in under "model". 404 only when neither is available.
 func (s *Service) handleLearn(w http.ResponseWriter, _ *http.Request) {
 	ls := s.LearnStats()
-	info, infoOK := s.ModelInfo()
-	if ls == nil && !infoOK {
+	mb := s.modelBlock()
+	if ls == nil && mb == nil {
 		writeJSON(w, http.StatusNotFound,
 			errorResponse{Error: "no learning profile: model loaded from snapshot or stats not attached"})
 		return
@@ -96,28 +96,38 @@ func (s *Service) handleLearn(w http.ResponseWriter, _ *http.Request) {
 			_ = json.Unmarshal(b, &out)
 		}
 	}
-	if infoOK {
-		mb := map[string]any{
-			"fingerprint": info.Fingerprint,
-			"built":       info.Built,
-			"generation":  s.ModelGeneration(),
-		}
-		if info.LearnedAtUnix != 0 {
-			mb["learned_at"] = info.LearnedAt().UTC().Format(time.RFC3339)
-			mb["age_seconds"] = time.Since(info.LearnedAt()).Seconds()
-		}
-		if info.SampleSize != 0 {
-			mb["sample_size"] = info.SampleSize
-		}
-		if info.Pivot != "" {
-			mb["pivot"] = info.Pivot
-		}
+	if mb != nil {
 		out["model"] = mb
 	}
 	if rep := s.lifecycleReporter(); rep != nil {
 		out["refresh"] = rep.RefreshStats()
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// modelBlock is the served model's identity card as /healthz and
+// /debug/learn report it; nil when none was set.
+func (s *Service) modelBlock() map[string]any {
+	p := s.pack.Load()
+	if !p.infoSet {
+		return nil
+	}
+	mb := map[string]any{
+		"fingerprint": p.info.Fingerprint,
+		"built":       p.info.Built,
+		"generation":  p.gen,
+	}
+	if p.info.LearnedAtUnix != 0 {
+		mb["learned_at"] = p.info.LearnedAt().UTC().Format(time.RFC3339)
+		mb["age_seconds"] = time.Since(p.info.LearnedAt()).Seconds()
+	}
+	if p.info.SampleSize != 0 {
+		mb["sample_size"] = p.info.SampleSize
+	}
+	if p.info.Pivot != "" {
+		mb["pivot"] = p.info.Pivot
+	}
+	return mb
 }
 
 // handleSource reports the underlying boolean engine's counters, plus the

@@ -3,26 +3,24 @@ package service
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"aimq/internal/audit"
-	"aimq/internal/drift"
-	"aimq/internal/engine"
 	"aimq/internal/obs"
 	"aimq/internal/version"
-	"aimq/internal/webdb"
 )
 
-// serviceMetrics tracks the service's operational counters, the answer
-// latency distribution and the answer-quality distributions, exposed at
-// /metrics in the Prometheus text exposition format. Implemented on stdlib
-// atomics so the repo stays dependency-free; any Prometheus scraper parses
-// the output.
+// serviceMetrics holds the service's own operational counters, the answer
+// latency distribution and the answer-quality distributions. handleMetrics
+// reads them, together with every attached telemetry source, at scrape time.
+// Implemented on stdlib atomics so the repo stays dependency-free; any
+// Prometheus scraper parses the output.
 type serviceMetrics struct {
 	requestsOK     atomic.Int64 // answered 2xx
 	requestsErr    atomic.Int64 // answered 4xx/5xx
@@ -37,17 +35,16 @@ type serviceMetrics struct {
 	modelSwaps     atomic.Int64 // Promote calls (model hot-swaps, rollbacks included)
 	inflight       atomic.Int64
 
-	latency latencyHistogram
+	latency histogram
 	stages  stageHistograms
 
 	// Quality distributions, fed from finished traces: how deep relaxation
 	// had to go per answer, how many answers each query got, and where the
 	// Sim(Q,t) scores land. These turn the paper's §6 quality metrics into
 	// continuously scraped series.
-	relaxDepth     histogram
-	answersPer     histogram
-	answerSim      histogram
-	qualityInitOne sync.Once
+	relaxDepth histogram
+	answersPer histogram
+	answerSim  histogram
 }
 
 // Quality-histogram bucket bounds. Depth counts dropped attributes per
@@ -59,33 +56,28 @@ var (
 	simBounds     = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1}
 )
 
-// initQuality sets the quality histograms' bounds; called from New and
-// lazily from observers so a zero-value serviceMetrics still works in tests.
-func (m *serviceMetrics) initQuality() {
-	m.qualityInitOne.Do(func() {
-		m.relaxDepth.bounds = depthBounds
-		m.answersPer.bounds = answersBounds
-		m.answerSim.bounds = simBounds
-	})
-}
-
 // observeQuality folds one finished trace into the quality histograms:
 // answers-per-query once, then per answer its Sim(Q,t) score and its
-// relaxation depth — the number of attributes the producing relaxation step
-// dropped, zero when the answer came straight from the base set.
+// relaxation depth.
 func (m *serviceMetrics) observeQuality(t *obs.Trace) {
-	m.initQuality()
 	m.answersPer.Observe(float64(len(t.Answers)))
-	for _, a := range t.Answers {
-		m.answerSim.Observe(a.Sim)
-		depth := 0
-		if !a.FromBase && len(a.Steps) > 0 {
-			if si := a.Steps[0]; si >= 0 && si < len(t.Steps) {
-				depth = len(t.Steps[si].Dropped)
-			}
-		}
-		m.relaxDepth.Observe(float64(depth))
+	for i := range t.Answers {
+		m.answerSim.Observe(t.Answers[i].Sim)
+		m.relaxDepth.Observe(float64(relaxDepth(t, &t.Answers[i])))
 	}
+}
+
+// relaxDepth is the number of attributes dropped by the relaxation step
+// that first retrieved answer a; zero when a came straight from the base
+// set.
+func relaxDepth(t *obs.Trace, a *obs.AnswerExplain) int {
+	if a.FromBase || len(a.Steps) == 0 {
+		return 0
+	}
+	if si := a.Steps[0]; si >= 0 && si < len(t.Steps) {
+		return len(t.Steps[si].Dropped)
+	}
+	return 0
 }
 
 // stageHistograms holds one latency histogram per pipeline stage
@@ -94,7 +86,7 @@ func (m *serviceMetrics) observeQuality(t *obs.Trace) {
 // the milliseconds of an answer go" without attaching a profiler.
 type stageHistograms struct {
 	mu sync.Mutex
-	m  map[string]*latencyHistogram
+	m  map[string]*histogram
 }
 
 func (s *stageHistograms) Observe(stage string, seconds float64) {
@@ -102,34 +94,33 @@ func (s *stageHistograms) Observe(stage string, seconds float64) {
 	h := s.m[stage]
 	if h == nil {
 		if s.m == nil {
-			s.m = make(map[string]*latencyHistogram)
+			s.m = make(map[string]*histogram)
 		}
-		h = &latencyHistogram{}
+		h = &histogram{bounds: latencyBounds}
 		s.m[stage] = h
 	}
 	s.mu.Unlock()
 	h.Observe(seconds)
 }
 
-// names returns the stage names sorted, for deterministic rendering.
-func (s *stageHistograms) names() []string {
+// samples returns the stage histograms as family samples, sorted by stage
+// name for deterministic rendering.
+func (s *stageHistograms) samples() []any {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.m))
+	names := make([]string, 0, len(s.m))
 	for name := range s.m {
-		out = append(out, name)
+		names = append(names, name)
 	}
-	sort.Strings(out)
+	sort.Strings(names)
+	out := make([]any, 0, 2*len(names))
+	for _, name := range names {
+		out = append(out, label("stage", name), s.m[name])
+	}
 	return out
 }
 
-func (s *stageHistograms) get(name string) *latencyHistogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m[name]
-}
-
-// latencyBounds are the default histogram bucket upper bounds in seconds.
+// latencyBounds are the latency histogram bucket upper bounds in seconds.
 // Answer latency spans cache hits (~µs) to deep relaxations (seconds), so
 // the buckets run from 100µs to 10s.
 var latencyBounds = []float64{
@@ -137,37 +128,25 @@ var latencyBounds = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// histogram is a fixed-bucket histogram with configurable bounds; the zero
-// value buckets by latencyBounds. A mutex (not atomics) keeps
+// histogram is a fixed-bucket histogram. A mutex (not atomics) keeps
 // sum/count/buckets mutually consistent; observation is far off the hot
 // path relative to a relaxation run.
 type histogram struct {
-	// bounds are the bucket upper bounds, ascending; nil selects
-	// latencyBounds. Set before the first Observe — never after.
+	// bounds are the bucket upper bounds, ascending. Set before the first
+	// Observe — never after.
 	bounds []float64
 
 	mu     sync.Mutex
-	counts []int64 // len(bucketBounds())+1; last bucket = +Inf
+	counts []int64 // len(bounds)+1; last bucket = +Inf
 	sum    float64
 	total  int64
 }
 
-// latencyHistogram is a histogram over the default latency buckets.
-type latencyHistogram = histogram
-
-func (h *histogram) bucketBounds() []float64 {
-	if h.bounds == nil {
-		return latencyBounds
-	}
-	return h.bounds
-}
-
 func (h *histogram) Observe(v float64) {
-	b := h.bucketBounds()
-	i := sort.SearchFloat64s(b, v)
+	i := sort.SearchFloat64s(h.bounds, v)
 	h.mu.Lock()
 	if h.counts == nil {
-		h.counts = make([]int64, len(b)+1)
+		h.counts = make([]int64, len(h.bounds)+1)
 	}
 	h.counts[i]++
 	h.sum += v
@@ -179,7 +158,7 @@ func (h *histogram) Observe(v float64) {
 func (h *histogram) snapshot() ([]int64, float64, int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	cum := make([]int64, len(h.bucketBounds())+1)
+	cum := make([]int64, len(h.bounds)+1)
 	var running int64
 	for i := range cum {
 		if i < len(h.counts) {
@@ -199,262 +178,234 @@ func escapeLabel(v string) string {
 
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
+// label renders one name="value" label pair, escaping the value.
+func label(name, value string) string {
+	return name + `="` + escapeLabel(value) + `"`
+}
+
+// family writes one metric family: its HELP and TYPE lines, then its
+// samples, given as label-set/value pairs. A label set is a rendered,
+// comma-separated list of label pairs, or "" for none. A *histogram value
+// expands to its cumulative buckets, sum and count; any other value prints
+// with %v, so integer counters stay integers and float gauges take %g form.
+func family(w io.Writer, typ, name, help string, samples ...any) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for i := 0; i+1 < len(samples); i += 2 {
+		labels := samples[i].(string)
+		if h, ok := samples[i+1].(*histogram); ok {
+			writeHistogram(w, name, labels, h)
+			continue
+		}
+		if labels != "" {
+			labels = "{" + labels + "}"
+		}
+		fmt.Fprintf(w, "%s%s %v\n", name, labels, samples[i+1])
+	}
+}
+
 // writeHistogram renders one histogram series. labels, when non-empty, is a
-// pre-escaped label list without the le pair, e.g. `stage="relax"`.
+// rendered label list without the le pair, e.g. `stage="relax"`.
 func writeHistogram(w io.Writer, name, labels string, h *histogram) {
 	cum, sum, total := h.snapshot()
-	bounds := h.bucketBounds()
 	comma := ""
 	if labels != "" {
 		comma = ","
 	}
-	for i, bound := range bounds {
+	for i, bound := range h.bounds {
 		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%g\"} %d\n", name, labels, comma, bound, cum[i])
 	}
 	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, comma, cum[len(cum)-1])
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n", name, sum)
-		fmt.Fprintf(w, "%s_count %d\n", name, total)
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, sum)
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, total)
+	if labels != "" {
+		labels = "{" + labels + "}"
 	}
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, labels, sum)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, total)
 }
 
-// modelTelemetry is the scrape-time view of the served model's identity,
-// the drift monitor and the audit writer — the longitudinal aimq_model_* /
-// aimq_audit_* families. Nil sub-fields (and a nil modelTelemetry) simply
-// skip their series, so a bare test service scrapes unchanged.
-type modelTelemetry struct {
-	info ModelInfo
-	// generation is the engine-pack swap generation at scrape time.
-	generation uint64
-	drift      *drift.Status
-	audit      *audit.Stats
-	// refresh is the model lifecycle controller's status (nil when no
-	// controller is attached): the aimq_model_refresh_* and
-	// aimq_model_rollbacks_total families.
-	refresh *RefreshStats
-}
-
-// render writes the metrics in Prometheus text format. cacheEntries is the
-// current answer-cache population, res the resilience-layer snapshot (nil
-// when the source has no resilience wrapper), eng the boolean engine's
-// counter snapshot (nil for remote sources), and mt the model/drift/audit
-// telemetry (nil when none is attached); all are owned elsewhere, so their
-// values are passed in at scrape time.
-func (m *serviceMetrics) render(w io.Writer, cacheEntries int, res *webdb.ResilienceStats, eng *engine.Snapshot, mt *modelTelemetry) {
-	m.initQuality()
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	histo := func(name, help string, h *histogram) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		writeHistogram(w, name, "", h)
-	}
-
-	fmt.Fprintf(w, "# HELP aimq_service_build_info Build metadata; value is always 1.\n")
-	fmt.Fprintf(w, "# TYPE aimq_service_build_info gauge\n")
-	fmt.Fprintf(w, "aimq_service_build_info{version=\"%s\",goversion=\"%s\"} 1\n",
-		escapeLabel(version.Version), escapeLabel(version.GoVersion()))
-
-	fmt.Fprintf(w, "# HELP aimq_service_requests_total Answer requests by outcome.\n")
-	fmt.Fprintf(w, "# TYPE aimq_service_requests_total counter\n")
-	fmt.Fprintf(w, "aimq_service_requests_total{status=\"ok\"} %d\n", m.requestsOK.Load())
-	fmt.Fprintf(w, "aimq_service_requests_total{status=\"error\"} %d\n", m.requestsErr.Load())
-	fmt.Fprintf(w, "aimq_service_requests_total{status=\"cancelled\"} %d\n", m.requestsCancel.Load())
-
-	counter("aimq_service_cache_hits_total", "Answer cache hits.", m.cacheHits.Load())
-	counter("aimq_service_cache_misses_total", "Answer cache misses.", m.cacheMisses.Load())
-	counter("aimq_service_singleflight_shared_total",
-		"Requests that shared another in-flight identical query.", m.flightShared.Load())
-	counter("aimq_service_relaxation_queries_total",
-		"Boolean queries issued against the autonomous source.", m.relaxQueries.Load())
-	counter("aimq_service_tuples_extracted_total",
-		"Tuples returned by the autonomous source.", m.tuplesRead.Load())
-	counter("aimq_service_slow_queries_total",
-		"Answers slower than the configured slow-query threshold.", m.slowQueries.Load())
-	counter("aimq_service_stale_serves_total",
+// handleMetrics writes the Prometheus text exposition. Everything is read
+// at scrape time: the service's own counters and histograms, then each
+// attached telemetry source — resilience middleware, the in-process engine,
+// the model identity card, drift monitor, refresh controller and audit
+// writer. A source that is not attached has no families.
+func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	m := &s.met
+	family(w, "gauge", "aimq_service_build_info", "Build metadata; value is always 1.",
+		label("version", version.Version)+","+label("goversion", version.GoVersion()), 1)
+	family(w, "counter", "aimq_service_requests_total", "Answer requests by outcome.",
+		`status="ok"`, m.requestsOK.Load(), `status="error"`, m.requestsErr.Load(),
+		`status="cancelled"`, m.requestsCancel.Load())
+	family(w, "counter", "aimq_service_cache_hits_total", "Answer cache hits.", "", m.cacheHits.Load())
+	family(w, "counter", "aimq_service_cache_misses_total", "Answer cache misses.", "", m.cacheMisses.Load())
+	family(w, "counter", "aimq_service_singleflight_shared_total",
+		"Requests that shared another in-flight identical query.", "", m.flightShared.Load())
+	family(w, "counter", "aimq_service_relaxation_queries_total",
+		"Boolean queries issued against the autonomous source.", "", m.relaxQueries.Load())
+	family(w, "counter", "aimq_service_tuples_extracted_total",
+		"Tuples returned by the autonomous source.", "", m.tuplesRead.Load())
+	family(w, "counter", "aimq_service_slow_queries_total",
+		"Answers slower than the configured slow-query threshold.", "", m.slowQueries.Load())
+	family(w, "counter", "aimq_service_stale_serves_total",
 		"Responses served from expired or error-bypassed cache entries (serve-stale degradation).",
-		m.staleServes.Load())
+		"", m.staleServes.Load())
 
-	if res != nil {
-		counter("aimq_source_retries_total",
-			"Source query attempts beyond the first (resilience retry layer).", res.Retries)
-		counter("aimq_source_fast_fails_total",
-			"Source queries shed by an open circuit breaker.", res.FastFails)
-		counter("aimq_source_failures_total",
-			"Source queries that failed after exhausting retries.", res.Failures)
-		counter("aimq_source_successes_total",
-			"Source queries that succeeded (retried or not).", res.Successes)
-		gauge("aimq_source_breaker_state",
-			"Circuit breaker state: 0 closed, 1 half-open, 2 open.", float64(res.State))
-		fmt.Fprintf(w, "# HELP aimq_source_breaker_transitions_total Circuit breaker transitions by target state.\n")
-		fmt.Fprintf(w, "# TYPE aimq_source_breaker_transitions_total counter\n")
-		fmt.Fprintf(w, "aimq_source_breaker_transitions_total{to=\"open\"} %d\n", res.Opens)
-		fmt.Fprintf(w, "aimq_source_breaker_transitions_total{to=\"half_open\"} %d\n", res.HalfOpens)
-		fmt.Fprintf(w, "aimq_source_breaker_transitions_total{to=\"closed\"} %d\n", res.Closes)
+	if s.res != nil {
+		res := s.res.Stats()
+		family(w, "counter", "aimq_source_retries_total",
+			"Source query attempts beyond the first (resilience retry layer).", "", res.Retries)
+		family(w, "counter", "aimq_source_fast_fails_total",
+			"Source queries shed by an open circuit breaker.", "", res.FastFails)
+		family(w, "counter", "aimq_source_failures_total",
+			"Source queries that failed after exhausting retries.", "", res.Failures)
+		family(w, "counter", "aimq_source_successes_total",
+			"Source queries that succeeded (retried or not).", "", res.Successes)
+		family(w, "gauge", "aimq_source_breaker_state",
+			"Circuit breaker state: 0 closed, 1 half-open, 2 open.", "", float64(res.State))
+		family(w, "counter", "aimq_source_breaker_transitions_total",
+			"Circuit breaker transitions by target state.",
+			`to="open"`, res.Opens, `to="half_open"`, res.HalfOpens, `to="closed"`, res.Closes)
 	}
 
-	if eng != nil {
+	if eng := s.engine(); eng != nil {
 		// Boolean-engine execution counters (satellite of /debug/source):
 		// how much physical work the columnar engine did for the relaxation
 		// queries above, scraped alongside the service series so "queries
 		// issued" and "chunks touched" share one dashboard.
-		counter("aimq_engine_queries_total",
-			"Boolean queries executed by the in-process engine.", eng.Queries)
-		counter("aimq_engine_tuples_returned_total",
-			"Tuples materialized by engine Execute calls.", eng.TuplesReturned)
-		counter("aimq_engine_tuples_scanned_total",
-			"Tuples individually inspected by residual scans.", eng.TuplesScanned)
-		counter("aimq_engine_tuples_counted_total",
-			"Tuples tallied by engine Count calls.", eng.TuplesCounted)
-		fmt.Fprintf(w, "# HELP aimq_engine_busy_seconds_total Wall time spent inside engine Execute/Count.\n")
-		fmt.Fprintf(w, "# TYPE aimq_engine_busy_seconds_total counter\n")
-		fmt.Fprintf(w, "aimq_engine_busy_seconds_total %g\n", float64(eng.BusyNanos)/1e9)
-		counter("aimq_engine_chunks_visited_total",
-			"Column chunks evaluated (after posting-AND pruning).", eng.ChunksVisited)
-		counter("aimq_engine_zone_killed_total",
-			"Chunk evaluations eliminated entirely by a zone map.", eng.ZoneKilled)
-		counter("aimq_engine_zone_skipped_total",
-			"Residual predicates satisfied chunk-wide by a zone map (scan skipped).", eng.ZoneSkipped)
-		counter("aimq_engine_posting_empty_total",
-			"Chunk evaluations cut short by an empty posting intersection.", eng.PostingEmpty)
-		counter("aimq_engine_dense_rows_total",
-			"Rows swept by dense residual scans.", eng.DenseRows)
-		counter("aimq_engine_sparse_checks_total",
-			"Surviving rows probed by sparse residual checks.", eng.SparseChecks)
-		counter("aimq_engine_parallel_queries_total",
-			"Queries executed on the parallel chunk-sharded path.", eng.ParallelQueries)
+		st := eng.Stats().Snapshot()
+		family(w, "counter", "aimq_engine_queries_total",
+			"Boolean queries executed by the in-process engine.", "", st.Queries)
+		family(w, "counter", "aimq_engine_tuples_returned_total",
+			"Tuples materialized by engine Execute calls.", "", st.TuplesReturned)
+		family(w, "counter", "aimq_engine_tuples_scanned_total",
+			"Tuples individually inspected by residual scans.", "", st.TuplesScanned)
+		family(w, "counter", "aimq_engine_tuples_counted_total",
+			"Tuples tallied by engine Count calls.", "", st.TuplesCounted)
+		family(w, "counter", "aimq_engine_busy_seconds_total",
+			"Wall time spent inside engine Execute/Count.", "", float64(st.BusyNanos)/1e9)
+		family(w, "counter", "aimq_engine_chunks_visited_total",
+			"Column chunks evaluated (after posting-AND pruning).", "", st.ChunksVisited)
+		family(w, "counter", "aimq_engine_zone_killed_total",
+			"Chunk evaluations eliminated entirely by a zone map.", "", st.ZoneKilled)
+		family(w, "counter", "aimq_engine_zone_skipped_total",
+			"Residual predicates satisfied chunk-wide by a zone map (scan skipped).", "", st.ZoneSkipped)
+		family(w, "counter", "aimq_engine_posting_empty_total",
+			"Chunk evaluations cut short by an empty posting intersection.", "", st.PostingEmpty)
+		family(w, "counter", "aimq_engine_dense_rows_total",
+			"Rows swept by dense residual scans.", "", st.DenseRows)
+		family(w, "counter", "aimq_engine_sparse_checks_total",
+			"Surviving rows probed by sparse residual checks.", "", st.SparseChecks)
+		family(w, "counter", "aimq_engine_parallel_queries_total",
+			"Queries executed on the parallel chunk-sharded path.", "", st.ParallelQueries)
 	}
 
-	if mt != nil {
-		gauge("aimq_model_generation",
-			"Engine-pack swap generation (0 = the boot-time model, +1 per promote).",
-			float64(mt.generation))
-		counter("aimq_model_swaps_total",
-			"Model hot-swaps performed (promotes and rollbacks).", m.modelSwaps.Load())
-		if mt.info.Fingerprint != "" {
-			fmt.Fprintf(w, "# HELP aimq_model_version Served model identity; the version label is the model fingerprint, value is always 1.\n")
-			fmt.Fprintf(w, "# TYPE aimq_model_version gauge\n")
-			fmt.Fprintf(w, "aimq_model_version{version=\"%s\",built=\"%t\"} 1\n",
-				escapeLabel(mt.info.Fingerprint), mt.info.Built)
-		}
-		if mt.info.LearnedAtUnix != 0 {
-			gauge("aimq_model_learned_timestamp_seconds",
-				"Unix time the served model was learned.", float64(mt.info.LearnedAtUnix))
-			gauge("aimq_model_age_seconds",
-				"Seconds since the served model was learned.",
-				time.Since(time.Unix(mt.info.LearnedAtUnix, 0)).Seconds())
-		}
-		if mt.info.SampleSize != 0 {
-			gauge("aimq_model_sample_size",
-				"Probe-sample tuples the served model was mined from.", float64(mt.info.SampleSize))
-		}
-		if d := mt.drift; d != nil {
-			counter("aimq_model_drift_ticks_total",
-				"Drift monitor re-probe ticks.", d.Ticks)
-			counter("aimq_model_drift_breaches_total",
-				"Drift ticks whose max PSI crossed the warning threshold.", d.Breaches)
-			counter("aimq_model_drift_errors_total",
-				"Drift ticks that failed to re-probe the source.", d.Errors)
-			gauge("aimq_model_drift_psi_warn",
-				"PSI threshold at which a drift tick counts as a breach.", d.PSIWarn)
-			if rep := d.Last; rep != nil {
-				gauge("aimq_model_drift_max_psi",
-					"Largest per-attribute PSI in the latest drift comparison.", rep.MaxPSI)
-				gauge("aimq_model_drift_key_error_delta",
-					"Best-key g3 error on the fresh sample minus the learn-time baseline (AFD-confidence decay).",
-					rep.KeyErrorDelta)
-				fmt.Fprintf(w, "# HELP aimq_model_drift_psi Per-attribute PSI between the learn-time baseline and the latest re-probe.\n")
-				fmt.Fprintf(w, "# TYPE aimq_model_drift_psi gauge\n")
-				for _, a := range rep.Attrs {
-					fmt.Fprintf(w, "aimq_model_drift_psi{attr=\"%s\"} %g\n", escapeLabel(a.Name), a.PSI)
-				}
+	pack := s.pack.Load()
+	info := pack.info
+	mon, rep := s.driftMonitor(), s.lifecycleReporter()
+	// The generation and swap count accompany any model-level telemetry; a
+	// bare service omits them.
+	if pack.infoSet || mon != nil || rep != nil || s.audit != nil {
+		family(w, "gauge", "aimq_model_generation",
+			"Engine-pack swap generation (0 = the boot-time model, +1 per promote).", "", float64(pack.gen))
+		family(w, "counter", "aimq_model_swaps_total",
+			"Model hot-swaps performed (promotes and rollbacks).", "", m.modelSwaps.Load())
+	}
+	if info.Fingerprint != "" {
+		family(w, "gauge", "aimq_model_version",
+			"Served model identity; the version label is the model fingerprint, value is always 1.",
+			label("version", info.Fingerprint)+","+label("built", strconv.FormatBool(info.Built)), 1)
+	}
+	if info.LearnedAtUnix != 0 {
+		family(w, "gauge", "aimq_model_learned_timestamp_seconds",
+			"Unix time the served model was learned.", "", float64(info.LearnedAtUnix))
+		family(w, "gauge", "aimq_model_age_seconds",
+			"Seconds since the served model was learned.", "", time.Since(info.LearnedAt()).Seconds())
+	}
+	if info.SampleSize != 0 {
+		family(w, "gauge", "aimq_model_sample_size",
+			"Probe-sample tuples the served model was mined from.", "", float64(info.SampleSize))
+	}
+	if mon != nil {
+		d := mon.Status()
+		family(w, "counter", "aimq_model_drift_ticks_total", "Drift monitor re-probe ticks.", "", d.Ticks)
+		family(w, "counter", "aimq_model_drift_breaches_total",
+			"Drift ticks whose max PSI crossed the warning threshold.", "", d.Breaches)
+		family(w, "counter", "aimq_model_drift_errors_total",
+			"Drift ticks that failed to re-probe the source.", "", d.Errors)
+		family(w, "gauge", "aimq_model_drift_psi_warn",
+			"PSI threshold at which a drift tick counts as a breach.", "", d.PSIWarn)
+		if r := d.Last; r != nil {
+			family(w, "gauge", "aimq_model_drift_max_psi",
+				"Largest per-attribute PSI in the latest drift comparison.", "", r.MaxPSI)
+			family(w, "gauge", "aimq_model_drift_key_error_delta",
+				"Best-key g3 error on the fresh sample minus the learn-time baseline (AFD-confidence decay).",
+				"", r.KeyErrorDelta)
+			psi := make([]any, 0, 2*len(r.Attrs))
+			for _, a := range r.Attrs {
+				psi = append(psi, label("attr", a.Name), a.PSI)
 			}
-		}
-		if r := mt.refresh; r != nil {
-			fmt.Fprintf(w, "# HELP aimq_model_refresh_total Model refresh attempts by outcome.\n")
-			fmt.Fprintf(w, "# TYPE aimq_model_refresh_total counter\n")
-			fmt.Fprintf(w, "aimq_model_refresh_total{result=\"promoted\"} %d\n", r.Promoted)
-			fmt.Fprintf(w, "aimq_model_refresh_total{result=\"unchanged\"} %d\n", r.Unchanged)
-			fmt.Fprintf(w, "aimq_model_refresh_total{result=\"rejected\"} %d\n", r.Rejected)
-			fmt.Fprintf(w, "aimq_model_refresh_total{result=\"failed\"} %d\n", r.Failed)
-			inProgress := 0.0
-			if r.State == "learning" || r.State == "validating" || r.State == "promoting" {
-				inProgress = 1
-			}
-			gauge("aimq_model_refresh_in_progress",
-				"1 while a model refresh attempt is running.", inProgress)
-			gauge("aimq_model_refresh_consecutive_failures",
-				"Failed or rejected refresh attempts since the last success.",
-				float64(r.ConsecFailures))
-			gauge("aimq_model_refresh_backoff_seconds",
-				"Wait imposed before the next refresh attempt (0 = none).",
-				r.BackoffSeconds)
-			gauge("aimq_model_refresh_last_duration_seconds",
-				"Duration of the most recent completed refresh attempt.",
-				r.LastDurationSeconds)
-			counter("aimq_model_rollbacks_total",
-				"Post-promote quality breaches that rolled the model back.", r.Rollbacks)
-		}
-		if a := mt.audit; a != nil {
-			counter("aimq_audit_events_written_total",
-				"Audit wide events durably written.", a.Written)
-			counter("aimq_audit_events_dropped_total",
-				"Audit events dropped because the writer ring was full (log is incomplete).", a.Dropped)
-			counter("aimq_audit_events_sampled_out_total",
-				"Audit events skipped by 1-in-N sampling.", a.SampledOut)
-			counter("aimq_audit_bytes_written_total",
-				"Bytes appended to the audit log.", a.BytesWritten)
-			counter("aimq_audit_rotations_total",
-				"Audit log file rotations.", a.Rotations)
-			counter("aimq_audit_errors_total",
-				"Audit write or rotation failures.", a.Errors)
+			family(w, "gauge", "aimq_model_drift_psi",
+				"Per-attribute PSI between the learn-time baseline and the latest re-probe.", psi...)
 		}
 	}
+	if rep != nil {
+		r := rep.RefreshStats()
+		family(w, "counter", "aimq_model_refresh_total", "Model refresh attempts by outcome.",
+			`result="promoted"`, r.Promoted, `result="unchanged"`, r.Unchanged,
+			`result="rejected"`, r.Rejected, `result="failed"`, r.Failed)
+		inProgress := 0.0
+		if r.State == "learning" || r.State == "validating" || r.State == "promoting" {
+			inProgress = 1
+		}
+		family(w, "gauge", "aimq_model_refresh_in_progress",
+			"1 while a model refresh attempt is running.", "", inProgress)
+		family(w, "gauge", "aimq_model_refresh_consecutive_failures",
+			"Failed or rejected refresh attempts since the last success.", "", float64(r.ConsecFailures))
+		family(w, "gauge", "aimq_model_refresh_backoff_seconds",
+			"Wait imposed before the next refresh attempt (0 = none).", "", r.BackoffSeconds)
+		family(w, "gauge", "aimq_model_refresh_last_duration_seconds",
+			"Duration of the most recent completed refresh attempt.", "", r.LastDurationSeconds)
+		family(w, "counter", "aimq_model_rollbacks_total",
+			"Post-promote quality breaches that rolled the model back.", "", r.Rollbacks)
+	}
+	if s.audit != nil {
+		a := s.audit.Stats()
+		family(w, "counter", "aimq_audit_events_written_total", "Audit wide events durably written.", "", a.Written)
+		family(w, "counter", "aimq_audit_events_dropped_total",
+			"Audit events dropped because the writer ring was full (log is incomplete).", "", a.Dropped)
+		family(w, "counter", "aimq_audit_events_sampled_out_total",
+			"Audit events skipped by 1-in-N sampling.", "", a.SampledOut)
+		family(w, "counter", "aimq_audit_bytes_written_total", "Bytes appended to the audit log.", "", a.BytesWritten)
+		family(w, "counter", "aimq_audit_rotations_total", "Audit log file rotations.", "", a.Rotations)
+		family(w, "counter", "aimq_audit_errors_total", "Audit write or rotation failures.", "", a.Errors)
+	}
 
-	gauge("aimq_service_inflight_requests",
-		"Answer requests currently being served.", float64(m.inflight.Load()))
-	gauge("aimq_service_cache_entries",
-		"Entries currently in the answer cache.", float64(cacheEntries))
+	family(w, "gauge", "aimq_service_inflight_requests",
+		"Answer requests currently being served.", "", float64(m.inflight.Load()))
+	family(w, "gauge", "aimq_service_cache_entries",
+		"Entries currently in the answer cache.", "", float64(s.cache.Len()))
 
 	// Runtime health, read at scrape time: the serving process's goroutine
 	// population, heap footprint and cumulative GC cost.
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	gauge("aimq_service_goroutines", "Goroutines in the serving process.",
-		float64(runtime.NumGoroutine()))
-	gauge("aimq_service_heap_alloc_bytes", "Bytes of live heap objects.",
-		float64(ms.HeapAlloc))
-	gauge("aimq_service_heap_sys_bytes", "Heap bytes obtained from the OS.",
-		float64(ms.HeapSys))
-	counter("aimq_service_gc_cycles_total", "Completed GC cycles.", int64(ms.NumGC))
-	fmt.Fprintf(w, "# HELP aimq_service_gc_pause_seconds_total Cumulative GC stop-the-world pause.\n")
-	fmt.Fprintf(w, "# TYPE aimq_service_gc_pause_seconds_total counter\n")
-	fmt.Fprintf(w, "aimq_service_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)
+	family(w, "gauge", "aimq_service_goroutines", "Goroutines in the serving process.",
+		"", float64(runtime.NumGoroutine()))
+	family(w, "gauge", "aimq_service_heap_alloc_bytes", "Bytes of live heap objects.", "", float64(ms.HeapAlloc))
+	family(w, "gauge", "aimq_service_heap_sys_bytes", "Heap bytes obtained from the OS.", "", float64(ms.HeapSys))
+	family(w, "counter", "aimq_service_gc_cycles_total", "Completed GC cycles.", "", int64(ms.NumGC))
+	family(w, "counter", "aimq_service_gc_pause_seconds_total", "Cumulative GC stop-the-world pause.",
+		"", float64(ms.PauseTotalNs)/1e9)
 
-	histo("aimq_service_answer_latency_seconds",
-		"Answer latency (cache hits included).", &m.latency)
-
-	stageNames := m.stages.names()
-	if len(stageNames) > 0 {
-		fmt.Fprintf(w, "# HELP aimq_service_stage_seconds Time spent per answering-pipeline stage.\n")
-		fmt.Fprintf(w, "# TYPE aimq_service_stage_seconds histogram\n")
-		for _, name := range stageNames {
-			writeHistogram(w, "aimq_service_stage_seconds",
-				fmt.Sprintf("stage=\"%s\"", escapeLabel(name)), m.stages.get(name))
-		}
+	family(w, "histogram", "aimq_service_answer_latency_seconds",
+		"Answer latency (cache hits included).", "", &m.latency)
+	if stages := m.stages.samples(); len(stages) > 0 {
+		family(w, "histogram", "aimq_service_stage_seconds",
+			"Time spent per answering-pipeline stage.", stages...)
 	}
-
-	histo("aimq_service_relax_depth",
-		"Attributes relaxed away to produce each answer (0 = answered from the base set).",
-		&m.relaxDepth)
-	histo("aimq_service_answers_per_query",
-		"Answers returned per computed (uncached) query.", &m.answersPer)
-	histo("aimq_service_answer_sim",
-		"Sim(Q,t) scores of returned answers.", &m.answerSim)
+	family(w, "histogram", "aimq_service_relax_depth",
+		"Attributes relaxed away to produce each answer (0 = answered from the base set).", "", &m.relaxDepth)
+	family(w, "histogram", "aimq_service_answers_per_query",
+		"Answers returned per computed (uncached) query.", "", &m.answersPer)
+	family(w, "histogram", "aimq_service_answer_sim",
+		"Sim(Q,t) scores of returned answers.", "", &m.answerSim)
 }

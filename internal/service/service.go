@@ -50,7 +50,6 @@ import (
 	"aimq/internal/audit"
 	"aimq/internal/core"
 	"aimq/internal/drift"
-	"aimq/internal/engine"
 	"aimq/internal/obs"
 	"aimq/internal/query"
 	"aimq/internal/similarity"
@@ -191,7 +190,10 @@ func New(src webdb.Source, est *similarity.Estimator, relaxer core.Relaxer, cfg 
 		start:  time.Now(),
 	}
 	s.pack.Store(&enginePack{est: est, relaxer: relaxer, keyPrefix: genPrefix(0)})
-	s.met.initQuality()
+	s.met.latency.bounds = latencyBounds
+	s.met.relaxDepth.bounds = depthBounds
+	s.met.answersPer.bounds = answersBounds
+	s.met.answerSim.bounds = simBounds
 	s.cache = newLRUCache(s.cfg.CacheSize, s.cfg.CacheTTL)
 	s.raw = newRawIndex(s.cfg.CacheSize)
 	if rs, ok := src.(resilienceSource); ok {
@@ -210,9 +212,8 @@ func New(src webdb.Source, est *similarity.Estimator, relaxer core.Relaxer, cfg 
 	s.mux.HandleFunc("POST /answer", s.handleAnswer)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	s.mux.HandleFunc("GET /debug/traces/export", s.handleTracesExport)
 	s.mux.HandleFunc("GET /debug/drift", s.handleDrift)
+	obs.HandleTraces(s.mux, s.ring, s.fdr)
 	return s
 }
 
@@ -311,7 +312,7 @@ func (s *Service) tryFastAnswer(w http.ResponseWriter, r *http.Request) bool {
 	}
 	start := time.Now()
 	ca, expired, ok := s.cache.Get(key)
-	if !ok || ca.rendered == nil {
+	if !ok {
 		return false
 	}
 	stale := false
@@ -568,7 +569,7 @@ func (s *Service) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		// Tag the computed answer too, so conditional requests work from
 		// the first response. The ETag identifies the payload (the cached
 		// rendering), not the per-request trailer fields.
-		if ca, _, ok := s.cache.Get(key); ok && ca.etag != "" && ca.payload == payload {
+		if ca, _, ok := s.cache.Get(key); ok && ca.payload == payload {
 			w.Header().Set("Etag", ca.etag)
 		}
 	}
@@ -588,16 +589,9 @@ func (s *Service) registerRaw(r *http.Request, key string) {
 	}
 }
 
-// serveCached answers from a cached entry: pre-rendered bytes with the
-// spliced trailer when available (plus the entry's ETag), the legacy
-// re-encoding path otherwise.
+// serveCached answers from a cached entry: its pre-rendered bytes with the
+// spliced trailer, plus the entry's ETag.
 func (s *Service) serveCached(w http.ResponseWriter, ca *cachedAnswer, stale bool, start time.Time) {
-	if ca.rendered == nil {
-		writeJSON(w, http.StatusOK, answerResponse{
-			answerPayload: ca.payload, Cached: true, Stale: stale, ElapsedMs: msSince(start),
-		})
-		return
-	}
 	w.Header().Set("Etag", ca.etag)
 	writeCached(w, ca, stale, start)
 }
@@ -767,19 +761,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"cache_entries":  s.cache.Len(),
 	}
-	if info, ok := s.ModelInfo(); ok {
-		mb := map[string]any{
-			"fingerprint": info.Fingerprint,
-			"built":       info.Built,
-			"generation":  s.ModelGeneration(),
-		}
-		if info.LearnedAtUnix != 0 {
-			mb["learned_at"] = info.LearnedAt().UTC().Format(time.RFC3339)
-			mb["age_seconds"] = time.Since(info.LearnedAt()).Seconds()
-		}
-		if info.SampleSize != 0 {
-			mb["sample_size"] = info.SampleSize
-		}
+	if mb := s.modelBlock(); mb != nil {
 		body["model"] = mb
 	}
 	if rep := s.lifecycleReporter(); rep != nil {
@@ -795,49 +777,6 @@ func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var res *webdb.ResilienceStats
-	if s.res != nil {
-		st := s.res.Stats()
-		res = &st
-	}
-	var engSnap *engine.Snapshot
-	if eng := s.engine(); eng != nil {
-		snap := eng.Stats().Snapshot()
-		engSnap = &snap
-	}
-	var mt *modelTelemetry
-	if info, ok := s.ModelInfo(); ok {
-		mt = &modelTelemetry{info: info}
-	}
-	if mon := s.driftMonitor(); mon != nil {
-		if mt == nil {
-			mt = &modelTelemetry{}
-		}
-		st := mon.Status()
-		mt.drift = &st
-	}
-	if s.audit != nil {
-		if mt == nil {
-			mt = &modelTelemetry{}
-		}
-		st := s.audit.Stats()
-		mt.audit = &st
-	}
-	if rep := s.lifecycleReporter(); rep != nil {
-		if mt == nil {
-			mt = &modelTelemetry{}
-		}
-		st := rep.RefreshStats()
-		mt.refresh = &st
-	}
-	if mt != nil {
-		mt.generation = s.ModelGeneration()
-	}
-	s.met.render(w, s.cache.Len(), res, engSnap, mt)
-}
-
 // sampleHit reports whether this computed run falls in the head sample:
 // every run when TraceSample < 2, 1 in every TraceSample runs otherwise.
 func (s *Service) sampleHit() bool {
@@ -846,62 +785,6 @@ func (s *Service) sampleHit() bool {
 		return true
 	}
 	return s.sampleSeq.Add(1)%n == 1
-}
-
-// handleTraces serves the trace ring: the most recent traces (newest first)
-// and the slowest ever retained (slowest first), plus — when the flight
-// recorder is armed — the retained tail-latency breaches and their hit rate.
-func (s *Service) handleTraces(w http.ResponseWriter, _ *http.Request) {
-	if s.ring == nil && s.fdr == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "tracing disabled (Config.TraceRing < 0)"})
-		return
-	}
-	recent, slowest := s.ring.Snapshot()
-	out := map[string]any{
-		"retained": len(recent),
-		"recent":   recent,
-		"slowest":  slowest,
-	}
-	if s.fdr != nil {
-		frecent, fslowest := s.fdr.Snapshot()
-		seen, kept := s.fdr.Stats()
-		out["flight"] = map[string]any{
-			"threshold_ms": float64(s.fdr.Threshold()) / float64(time.Millisecond),
-			"seen":         seen,
-			"kept":         kept,
-			"recent":       frecent,
-			"slowest":      fslowest,
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// handleTracesExport emits the retained traces — ring and flight recorder,
-// deduplicated — as Chrome trace-event JSON, loadable in Perfetto or
-// chrome://tracing: each trace becomes a named track, spans nest by wall
-// time, and the per-span args carry the IDs linking back to /debug/traces.
-func (s *Service) handleTracesExport(w http.ResponseWriter, _ *http.Request) {
-	if s.ring == nil && s.fdr == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "tracing disabled (Config.TraceRing < 0)"})
-		return
-	}
-	recent, slowest := s.ring.Snapshot()
-	frecent, fslowest := s.fdr.Snapshot()
-	var traces []obs.Trace
-	seen := map[string]bool{}
-	for _, group := range [][]obs.Trace{recent, slowest, frecent, fslowest} {
-		for _, t := range group {
-			key := t.TraceID + "|" + t.ID
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			traces = append(traces, t)
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", `attachment; filename="aimq-traces.json"`)
-	_ = obs.WriteChromeTrace(w, traces)
 }
 
 func (s *Service) observe(start time.Time) {

@@ -140,14 +140,8 @@ func (s *Service) auditRecord(pack *enginePack, q *query.Query, p *answerPayload
 		}
 		ev.LatencyMs = tr.ElapsedMs
 		ev.RelaxSteps = len(tr.Steps)
-		for _, a := range tr.Answers {
-			if !a.FromBase && len(a.Steps) > 0 {
-				if si := a.Steps[0]; si >= 0 && si < len(tr.Steps) {
-					if d := len(tr.Steps[si].Dropped); d > ev.RelaxDepthMax {
-						ev.RelaxDepthMax = d
-					}
-				}
-			}
+		for i := range tr.Answers {
+			ev.RelaxDepthMax = max(ev.RelaxDepthMax, relaxDepth(tr, &tr.Answers[i]))
 		}
 	}
 	ev.QueriesIssued = p.Work.QueriesIssued

@@ -247,6 +247,25 @@ func TestTracesExportDisabled(t *testing.T) {
 	}
 }
 
+// TestTracesExportOnBothMuxes: the main listener and the debug surface both
+// serve the export as a download.
+func TestTracesExportOnBothMuxes(t *testing.T) {
+	svc := obsService(t)
+	if code, out := do(t, svc, "GET", "/answer?q=Model+like+Camry", ""); code != http.StatusOK {
+		t.Fatalf("answer status %d: %v", code, out)
+	}
+	for name, h := range map[string]http.Handler{"main": svc, "debug": svc.DebugHandler()} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/debug/traces/export", nil))
+		if w.Code != http.StatusOK {
+			t.Errorf("%s mux: export status %d", name, w.Code)
+		}
+		if cd := w.Header().Get("Content-Disposition"); !strings.HasPrefix(cd, "attachment") {
+			t.Errorf("%s mux: export Content-Disposition = %q, want an attachment", name, cd)
+		}
+	}
+}
+
 // TestMetricsEngineSeries: the /metrics exposition carries the boolean
 // engine's execution counters (satellite of /debug/source), in a form the
 // strict parser accepts, with values consistent with work actually done.

@@ -96,12 +96,11 @@ func Retryable(err error) (retry bool, after time.Duration) {
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per query (1 = no retry).
 	MaxAttempts int
-	// BaseDelay seeds the exponential backoff. Default 50ms.
+	// BaseDelay seeds the exponential backoff, which doubles per attempt.
+	// Default 50ms.
 	BaseDelay time.Duration
 	// MaxDelay caps a single backoff sleep. Default 2s.
 	MaxDelay time.Duration
-	// Multiplier grows the delay per attempt. Default 2.
-	Multiplier float64
 	// PerAttempt bounds each attempt with its own deadline; expiry counts
 	// as a transient failure while the caller's context is still live, so a
 	// hung source costs one attempt, not the whole request budget. 0 = no
@@ -119,9 +118,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 2 * time.Second
 	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = 2
-	}
 	return p
 }
 
@@ -133,7 +129,7 @@ func (p RetryPolicy) Backoff(attempt int, after time.Duration) time.Duration {
 	p = p.withDefaults()
 	d := float64(p.BaseDelay)
 	for i := 1; i < attempt; i++ {
-		d *= p.Multiplier
+		d *= 2
 		if d >= float64(p.MaxDelay) {
 			d = float64(p.MaxDelay)
 			break
@@ -207,7 +203,8 @@ type BreakerState int32
 const (
 	// BreakerClosed passes queries through (healthy source).
 	BreakerClosed BreakerState = iota
-	// BreakerHalfOpen admits one probe at a time to test recovery.
+	// BreakerHalfOpen admits one probe at a time to test recovery: a
+	// success closes the breaker, a failure reopens it.
 	BreakerHalfOpen
 	// BreakerOpen sheds every query without touching the source.
 	BreakerOpen
@@ -241,8 +238,6 @@ type BreakerConfig struct {
 	// OpenTimeout is how long an open breaker sheds before half-opening for
 	// a probe. Default 10s.
 	OpenTimeout time.Duration
-	// HalfOpenProbes successive probe successes close the breaker. Default 1.
-	HalfOpenProbes int
 
 	// now is a test hook for the open-timeout clock.
 	now func() time.Time
@@ -257,9 +252,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.OpenTimeout <= 0 {
 		c.OpenTimeout = 10 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -280,7 +272,6 @@ type Breaker struct {
 	winTotal    int
 	openedAt    time.Time
 	probing     bool // a half-open probe is in flight
-	probeWins   int
 	opens       int64
 	halfOpens   int64
 	closes      int64
@@ -306,7 +297,6 @@ func (b *Breaker) Allow() bool {
 		}
 		b.state = BreakerHalfOpen
 		b.halfOpens++
-		b.probeWins = 0
 		b.probing = true
 		return true
 	default: // BreakerHalfOpen
@@ -329,12 +319,9 @@ func (b *Breaker) Record(success bool) {
 			b.tripLocked()
 			return
 		}
-		b.probeWins++
-		if b.probeWins >= b.cfg.HalfOpenProbes {
-			b.state = BreakerClosed
-			b.closes++
-			b.consecFails, b.winFails, b.winTotal = 0, 0, 0
-		}
+		b.state = BreakerClosed
+		b.closes++
+		b.consecFails, b.winFails, b.winTotal = 0, 0, 0
 	case BreakerClosed:
 		b.winTotal++
 		if success {

@@ -146,7 +146,7 @@ func TestRetryPolicyPerAttemptTimeout(t *testing.T) {
 }
 
 func TestBackoffBounds(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Multiplier: 2}
+	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}
 	for i := 0; i < 50; i++ {
 		if d := p.Backoff(1, 0); d < 0 || d > 10*time.Millisecond {
 			t.Fatalf("Backoff(1) = %v, want within [0, 10ms]", d)

@@ -164,9 +164,9 @@ func (l *Local) QueryContext(ctx context.Context, q *query.Query, limit int) ([]
 	if err := l.checkSchema(q); err != nil {
 		return nil, err
 	}
-	var ex engine.QueryExplain
+	var ex obs.EngineExec
 	tuples := l.eng.ExecuteTuplesExplained(q, limit, &ex)
-	rec.AddEngineExec(engineExecRecord(&ex))
+	rec.AddEngineExec(ex)
 	return tuples, nil
 }
 
@@ -178,37 +178,6 @@ func (l *Local) checkSchema(q *query.Query) error {
 		}
 	}
 	return nil
-}
-
-// engineExecRecord converts the engine's EXPLAIN into its trace wire form.
-func engineExecRecord(ex *engine.QueryExplain) obs.EngineExec {
-	ee := obs.EngineExec{
-		Empty:         ex.Empty,
-		FullScan:      ex.FullScan,
-		Chunks:        ex.Chunks,
-		ChunksVisited: ex.ChunksVisited,
-		ZoneKilled:    ex.ZoneKilled,
-		ZoneSkipped:   ex.ZoneSkipped,
-		PostingEmpty:  ex.PostingEmpty,
-		DenseRows:     ex.DenseRows,
-		SparseChecks:  ex.SparseChecks,
-		Scanned:       ex.Scanned,
-		Matched:       ex.Matched,
-		Parallel:      ex.Parallel,
-		ElapsedUs:     float64(ex.Elapsed.Nanoseconds()) / 1e3,
-	}
-	if len(ex.Plan) > 0 {
-		ee.Plan = make([]obs.EnginePlanTerm, len(ex.Plan))
-		for i, t := range ex.Plan {
-			ee.Plan[i] = obs.EnginePlanTerm{
-				Attr:         t.Attr,
-				Op:           t.Op,
-				Access:       t.Access,
-				Alternatives: t.Alternatives,
-			}
-		}
-	}
-	return ee
 }
 
 // Engine exposes the underlying engine (for stats in tests and benches).
