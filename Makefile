@@ -72,11 +72,13 @@ bench-quick:
 	$(GO) run -ldflags '$(LDFLAGS)' ./cmd/aimq-bench -quick -out bench-results
 
 # The alloc gates are absolute, not baseline-relative: the zero-allocation
-# serve path stays under 16 allocs/op (measured ~3), and the columnar
-# engine's scan path under 64 (measured ~9: plan + accumulator + result).
+# serve path stays under 16 allocs/op (measured ~3), the columnar engine's
+# scan path under 64 (measured ~9: plan + accumulator + result), and one
+# guided Algorithm 1 answer under 2000 (measured ~1,130; 2,888 when every
+# tuple key was rebuilt by string concatenation).
 bench-check:
 	$(GO) run -ldflags '$(LDFLAGS)' ./cmd/aimq-bench -quick -out bench-results \
-		-baseline bench/baseline -threshold 2 -alloc-gate serve-warm=16,engine-scan=64
+		-baseline bench/baseline -threshold 2 -alloc-gate serve-warm=16,engine-scan=64,guided=2000
 
 baseline:
 	$(GO) run -ldflags '$(LDFLAGS)' ./cmd/aimq-bench -quick -out bench/baseline

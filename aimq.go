@@ -125,7 +125,6 @@ func (db *DB) engine() *core.Engine {
 		TargetRelevant:    db.cfg.targetRelevant,
 		MaxQueriesPerBase: db.cfg.maxQueriesPerBase,
 		MaxSourceFailures: db.cfg.maxSourceFailures,
-		Trace:             db.cfg.trace,
 	})
 }
 

@@ -1,10 +1,12 @@
 package aimq
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"aimq/internal/core"
+	"aimq/internal/obs"
 	"aimq/internal/query"
 	"aimq/internal/relation"
 )
@@ -78,11 +80,28 @@ func (db *DB) AskQuery(q *query.Query) (*Answers, error) {
 		return nil, fmt.Errorf("aimq: empty query")
 	}
 	db.log.Record(q)
-	res, err := db.engine().Answer(q)
+	// WithTrace sessions record the run, and Answers.Trace is read back
+	// from the recorder's relaxation steps.
+	ctx := context.Background()
+	var rec *obs.Recorder
+	if db.cfg.trace {
+		rec = obs.NewRecorder("", q.String())
+		ctx = obs.WithRecorder(ctx, rec)
+	}
+	res, err := db.engine().AnswerContext(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	return db.convert(res), nil
+	out := db.convert(res)
+	for _, step := range rec.Finish().Steps {
+		out.Trace = append(out.Trace, TraceStep{
+			Query:     step.Query,
+			Extracted: step.Extracted,
+			Qualified: step.Qualified,
+			Failed:    step.Failed,
+		})
+	}
+	return out, nil
 }
 
 // AskTuple finds the tuples most similar to a reference tuple — "more like
@@ -116,14 +135,6 @@ func (db *DB) convert(res *core.Result) *Answers {
 			row.Values[i] = v.Render(sc.Type(i))
 		}
 		out.Rows = append(out.Rows, row)
-	}
-	for _, step := range res.Trace {
-		out.Trace = append(out.Trace, TraceStep{
-			Query:     step.Query,
-			Extracted: step.Extracted,
-			Qualified: step.Qualified,
-			Failed:    step.Failed,
-		})
 	}
 	return out
 }

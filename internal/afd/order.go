@@ -166,20 +166,28 @@ func (o *Ordering) RelaxPosition(a int) int {
 }
 
 // ImportanceWeights returns W_imp restricted to the given attributes and
-// normalized to sum to 1 (the paper requires Σ W_imp = 1 in Sim). If every
+// normalized to sum to 1 (the paper requires Σ W_imp = 1 in Sim), as a slice
+// indexed by attribute position; attributes outside bound weigh 0. If every
 // restricted weight is zero, weights are uniform over the bound attributes.
-func (o *Ordering) ImportanceWeights(bound relation.AttrSet) map[int]float64 {
-	members := bound.Members()
-	out := make(map[int]float64, len(members))
-	total := 0.0
-	for _, a := range members {
-		total += o.Wimp[a]
+// The total accumulates in ascending attribute order, so a given bound
+// always yields the same bits.
+func (o *Ordering) ImportanceWeights(bound relation.AttrSet) []float64 {
+	out := make([]float64, len(o.Wimp))
+	total, n := 0.0, 0
+	for a := range out {
+		if bound.Has(a) {
+			total += o.Wimp[a]
+			n++
+		}
 	}
-	for _, a := range members {
+	for a := range out {
+		if !bound.Has(a) {
+			continue
+		}
 		if total > 0 {
 			out[a] = o.Wimp[a] / total
-		} else if len(members) > 0 {
-			out[a] = 1 / float64(len(members))
+		} else {
+			out[a] = 1 / float64(n)
 		}
 	}
 	return out

@@ -147,6 +147,43 @@ func TestImportanceWeightsNormalized(t *testing.T) {
 	}
 }
 
+// TestImportanceWeightsMatchMapOracle pins the slice form bit-for-bit to the
+// map form it replaced (kept here verbatim as the oracle), over every bound
+// of a 4-attribute schema and both the mined and the all-zero weights.
+func TestImportanceWeightsMatchMapOracle(t *testing.T) {
+	oracle := func(o *Ordering, bound relation.AttrSet) map[int]float64 {
+		members := bound.Members()
+		out := make(map[int]float64, len(members))
+		total := 0.0
+		for _, a := range members {
+			total += o.Wimp[a]
+		}
+		for _, a := range members {
+			if total > 0 {
+				out[a] = o.Wimp[a] / total
+			} else if len(members) > 0 {
+				out[a] = 1 / float64(len(members))
+			}
+		}
+		return out
+	}
+	mined, err := Order(handResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := &Ordering{Schema: schema4(), Wimp: make([]float64, 4)}
+	for _, o := range []*Ordering{mined, zero} {
+		for set := relation.AttrSet(0); set < 16; set++ {
+			got, want := o.ImportanceWeights(set), oracle(o, set)
+			for a, w := range got {
+				if math.Float64bits(w) != math.Float64bits(want[a]) {
+					t.Errorf("bound %v attr %d: weight %v, oracle %v", set.Members(), a, w, want[a])
+				}
+			}
+		}
+	}
+}
+
 func TestImportanceWeightsZeroFallback(t *testing.T) {
 	res := &tane.Result{
 		Schema: schema4(),

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"aimq/internal/obs"
 	"aimq/internal/query"
 	"aimq/internal/relation"
 	"aimq/internal/webdb"
@@ -63,12 +65,12 @@ func TestChaosEndToEnd(t *testing.T) {
 			PerQueryLimit:  500,
 			TargetRelevant: 20,
 			OnFailure:      FailDegrade,
-			Trace:          true,
 		})
 
 		totalAnswers := 0
 		for qi, q := range pool {
-			result, err := eng.Answer(q)
+			rec := obs.NewRecorder("", q.String())
+			result, err := eng.AnswerContext(obs.WithRecorder(context.Background(), rec), q)
 			if err != nil {
 				if rate == 0 {
 					t.Fatalf("rate 0, query %d: unexpected error %v", qi, err)
@@ -90,7 +92,7 @@ func TestChaosEndToEnd(t *testing.T) {
 				t.Fatalf("rate %g, query %d: nil result with nil error", rate, qi)
 			}
 			totalAnswers += len(result.Answers)
-			checkConsistency(t, rate, qi, result)
+			checkConsistency(t, rate, qi, result, rec.Finish().Steps)
 		}
 		if prevAnswers >= 0 && totalAnswers > prevAnswers {
 			t.Errorf("answers grew with the failure rate: %d at rate %g > %d at the previous rate",
@@ -145,13 +147,13 @@ func chaosPool(rel *relation.Relation, n int) []*query.Query {
 	return out
 }
 
-// checkConsistency cross-checks a Result's WorkStats against its per-step
-// trace: the aggregate numbers must be derivable from (or bounded by) the
-// steps, or the stats are lying about the work done.
-func checkConsistency(t *testing.T, rate float64, qi int, res *Result) {
+// checkConsistency cross-checks a Result's WorkStats against the recorder's
+// per-step trace: the aggregate numbers must be derivable from (or bounded
+// by) the steps, or the stats are lying about the work done.
+func checkConsistency(t *testing.T, rate float64, qi int, res *Result, steps []obs.RelaxStep) {
 	t.Helper()
 	extracted, failed, shed := 0, 0, 0
-	for _, step := range res.Trace {
+	for _, step := range steps {
 		extracted += step.Extracted
 		if step.Failed {
 			failed++
@@ -162,8 +164,8 @@ func checkConsistency(t *testing.T, rate float64, qi int, res *Result) {
 	}
 	// The trace covers relaxation only; base-set probes add more queries and
 	// tuples, so the trace sums are lower bounds.
-	if res.Work.QueriesIssued < len(res.Trace) {
-		t.Errorf("rate %g, query %d: %d queries issued < %d traced steps", rate, qi, res.Work.QueriesIssued, len(res.Trace))
+	if res.Work.QueriesIssued < len(steps) {
+		t.Errorf("rate %g, query %d: %d queries issued < %d traced steps", rate, qi, res.Work.QueriesIssued, len(steps))
 	}
 	if res.Work.TuplesExtracted < extracted {
 		t.Errorf("rate %g, query %d: work extracted %d < trace sum %d", rate, qi, res.Work.TuplesExtracted, extracted)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"aimq/internal/obs"
 	"aimq/internal/query"
@@ -49,10 +48,6 @@ type Config struct {
 	// (webdb.ErrBreakerOpen) under FailDegrade stops the relaxation schedule
 	// immediately — every further query would be shed anyway.
 	OnFailure FailurePolicy
-	// Trace records every relaxation step (query issued, tuples extracted,
-	// tuples qualified) into Result.Trace. Off by default: traces of deep
-	// schedules are large.
-	Trace bool
 	// DisablePruning turns off the Sim-bound relaxation prune. By default
 	// the engine skips a relaxation step when an upper bound on the gating
 	// similarity of any *new* tuple the step could retrieve is already at
@@ -145,24 +140,6 @@ type Result struct {
 	Base    []relation.Tuple
 	Answers []Answer // ranked by Sim descending, length <= K
 	Work    WorkStats
-	// Trace holds per-step relaxation records when Config.Trace is set.
-	Trace []TraceStep
-}
-
-// TraceStep records one relaxation query's outcome.
-type TraceStep struct {
-	// Query is the relaxed query as issued.
-	Query string
-	// Extracted is how many tuples the source returned.
-	Extracted int
-	// Qualified is how many *new* tuples passed the similarity gate.
-	Qualified int
-	// Failed marks a source failure (Extracted/Qualified are 0).
-	Failed bool
-	// Shed marks a failure caused by an open circuit breaker: the query
-	// never reached the source, and under FailDegrade the schedule stopped
-	// here.
-	Shed bool
 }
 
 // Answerer is anything that can answer an imprecise query with a ranked
@@ -207,7 +184,8 @@ func (e *Engine) Answer(q *query.Query) (*Result, error) {
 // relaxation step with the dropped attributes and their importance weights,
 // and a per-attribute score decomposition of each returned answer. Without
 // a recorder the instrumentation is free — zero additional allocations
-// (BenchmarkAnswerNoRecorder).
+// (BenchmarkAnswerNoRecorder). The recorder is also the only step trace:
+// callers that want the per-step record read the recorder's Steps.
 func (e *Engine) AnswerContext(ctx context.Context, q *query.Query) (*Result, error) {
 	cfg := e.Cfg.withDefaults()
 	res := &Result{Query: q}
@@ -237,42 +215,56 @@ func (e *Engine) AnswerContext(ctx context.Context, q *query.Query) (*Result, er
 	for a := 0; a < sc.Arity(); a++ {
 		all = all.Add(a)
 	}
+	// Importance weights, computed once per request: the query's for
+	// ranking by Sim(Q,·), all attributes' for the Tsim gate.
+	qWeights := e.Est.Ordering.ImportanceWeights(q.BoundAttrs())
+	gateWeights := e.Est.Ordering.ImportanceWeights(all)
 
 	// Aes accumulates answers keyed by tuple content; a tuple reached via
-	// several base tuples keeps its best gating similarity.
-	aes := make(map[string]*Answer)
-	keyOf := func(t relation.Tuple) string {
-		k := ""
-		for i, v := range t {
-			k += v.Key(sc.Type(i)) + "\x1f"
-		}
-		return k
-	}
-	seq := 0
-	add := func(t relation.Tuple, baseSim float64) (string, bool) {
-		k := keyOf(t)
-		if a, ok := aes[k]; ok {
-			if baseSim > a.BaseSim {
-				a.BaseSim = baseSim
+	// several base tuples keeps its best gating similarity. Each retrieved
+	// tuple is keyed once into the reused buffer kb; the lookup does not
+	// allocate, and the key string is made only when an answer is inserted.
+	aes := make(map[string]int) // tuple key → index into ents
+	var (
+		ents []entry
+		kb   []byte
+	)
+	add := func(t relation.Tuple, baseSim float64) (int, bool) {
+		kb = appendTupleKey(kb[:0], sc, t)
+		if i, ok := aes[string(kb)]; ok {
+			if baseSim > ents[i].BaseSim {
+				ents[i].BaseSim = baseSim
 			}
-			return k, false
+			return i, false
 		}
-		aes[k] = &Answer{Tuple: t, Sim: e.Est.Sim(q, t), BaseSim: baseSim, Seq: seq}
-		seq++
-		return k, true
+		k := string(kb)
+		aes[k] = len(ents)
+		ents = append(ents, entry{
+			Answer: Answer{Tuple: t, Sim: e.Est.Sim(q, t, qWeights), BaseSim: baseSim, Seq: len(ents)},
+			key:    k,
+		})
+		return len(ents) - 1, true
 	}
 
-	// Tracing state: which relaxation steps retrieved each tuple, and which
-	// tuples came from the base set. Only materialized when a recorder is
-	// installed, so the untraced path allocates nothing extra.
+	// Tracing state: the entries each step retrieved (to credit the step on
+	// them once the recorder has numbered it), and each distinct dropped
+	// set's rendered attribute list — the schedule repeats the same drop
+	// sets for every base tuple, so their records share one slice. Only
+	// materialized when a recorder is installed.
 	var (
-		foundBy  map[string][]int
-		fromBase map[string]bool
-		stepKeys []string // keys retrieved by the step being recorded
+		stepHits []int
+		dropped  map[relation.AttrSet][]obs.DroppedAttr
 	)
+	droppedFor := func(drop relation.AttrSet) []obs.DroppedAttr {
+		d, ok := dropped[drop]
+		if !ok {
+			d = e.droppedAttrs(drop)
+			dropped[drop] = d
+		}
+		return d
+	}
 	if rec.Active() {
-		foundBy = make(map[string][]int)
-		fromBase = make(map[string]bool)
+		dropped = make(map[relation.AttrSet][]obs.DroppedAttr)
 	}
 
 	// Base-set tuples are answers by construction.
@@ -281,14 +273,12 @@ func (e *Engine) AnswerContext(ctx context.Context, q *query.Query) (*Result, er
 		limit = len(base)
 	}
 	for _, t := range base {
-		k, _ := add(t, 1)
-		if fromBase != nil {
-			fromBase[k] = true
-		}
+		i, _ := add(t, 1)
+		ents[i].fromBase = true
 	}
 
 	// Steps 2–8: relax each base tuple's fully-bound query.
-	qualified := len(aes)
+	qualified := len(ents)
 	spRelax := rec.StartSpan("relax")
 expansion:
 	for bi, t := range base[:limit] {
@@ -298,7 +288,7 @@ expansion:
 		var pb pruneBound
 		pruning := !cfg.DisablePruning && e.Est.Ordering != nil
 		if pruning {
-			pb = e.pruneBoundFor(t, bound, all, sc, cfg.KeyPruneMaxError)
+			pb = e.pruneBoundFor(t, bound, gateWeights, sc, cfg.KeyPruneMaxError)
 		}
 		for _, drop := range e.Relaxer.Schedule(bound) {
 			if ctx.Err() != nil || (cfg.TargetRelevant > 0 && qualified >= cfg.TargetRelevant) {
@@ -338,13 +328,10 @@ expansion:
 				}
 				res.Work.SourceFailures++
 				shed := errors.Is(err, webdb.ErrBreakerOpen)
-				if cfg.Trace {
-					res.Trace = append(res.Trace, TraceStep{Query: rq.String(), Failed: true, Shed: shed})
-				}
 				if rec.Active() {
 					rec.AddStep(obs.RelaxStep{
 						Base:      bi,
-						Dropped:   e.droppedAttrs(drop),
+						Dropped:   droppedFor(drop),
 						Query:     rq.String(),
 						Failed:    true,
 						Shed:      shed,
@@ -371,41 +358,34 @@ expansion:
 			}
 			res.Work.TuplesExtracted += len(tuples)
 			stepQualified, stepDups := 0, 0
-			stepKeys = stepKeys[:0]
+			stepHits = stepHits[:0]
 			for _, tp := range tuples {
-				sim := e.Est.SimTuples(t, tp, all)
+				sim := e.Est.SimTuples(t, tp, gateWeights)
 				if sim > cfg.Tsim {
-					k, isNew := add(tp, sim)
+					i, isNew := add(tp, sim)
 					if isNew {
 						qualified++
 						stepQualified++
 					} else {
 						stepDups++
 					}
-					if foundBy != nil {
-						stepKeys = append(stepKeys, k)
+					if rec.Active() {
+						stepHits = append(stepHits, i)
 					}
 				}
-			}
-			if cfg.Trace {
-				res.Trace = append(res.Trace, TraceStep{
-					Query:     rq.String(),
-					Extracted: len(tuples),
-					Qualified: stepQualified,
-				})
 			}
 			if rec.Active() {
 				idx := rec.AddStep(obs.RelaxStep{
 					Base:      bi,
-					Dropped:   e.droppedAttrs(drop),
+					Dropped:   droppedFor(drop),
 					Query:     rq.String(),
 					Extracted: len(tuples),
 					Qualified: stepQualified,
 					DupHits:   stepDups,
 					ElapsedMs: float64(rec.Since()-stepStart) / 1e6,
 				})
-				for _, k := range stepKeys {
-					foundBy[k] = append(foundBy[k], idx)
+				for _, i := range stepHits {
+					ents[i].foundBy = append(ents[i].foundBy, idx)
 				}
 			}
 		}
@@ -415,33 +395,23 @@ expansion:
 
 	// Step 9: rank by similarity to Q and return top-k.
 	spRank := rec.StartSpan("rank")
-	answers := make([]Answer, 0, len(aes))
-	for _, a := range aes {
-		answers = append(answers, *a)
+	top := topK(ents, cfg.K)
+	res.Answers = make([]Answer, len(top))
+	for i, a := range top {
+		res.Answers[i] = a.Answer
 	}
-	sort.Slice(answers, func(i, j int) bool {
-		if answers[i].Sim != answers[j].Sim {
-			return answers[i].Sim > answers[j].Sim
-		}
-		return keyOf(answers[i].Tuple) < keyOf(answers[j].Tuple)
-	})
-	if len(answers) > cfg.K {
-		answers = answers[:cfg.K]
-	}
-	res.Answers = answers
 	if rec.Active() {
 		// Decompose each returned answer's Sim(Q,t) into per-attribute
 		// weight × similarity terms and attach the steps that retrieved it.
-		for i, a := range answers {
-			k := keyOf(a.Tuple)
+		for i, a := range top {
 			_, contribs := e.Est.SimExplain(q, a.Tuple)
 			rec.AddAnswer(obs.AnswerExplain{
 				Rank:     i + 1,
 				Sim:      a.Sim,
 				BaseSim:  a.BaseSim,
 				Contribs: contribs,
-				FromBase: fromBase[k],
-				Steps:    foundBy[k],
+				FromBase: a.fromBase,
+				Steps:    a.foundBy,
 			})
 		}
 	}
@@ -450,6 +420,88 @@ expansion:
 	// A cancelled context surfaces here, after ranking: the partial answer
 	// set is still returned.
 	return res, ctx.Err()
+}
+
+// entry is one answer under construction in Aes, with the bookkeeping
+// Algorithm 1 keeps beside it.
+type entry struct {
+	Answer
+	// key is the tuple's canonical content key (appendTupleKey): its
+	// identity in Aes and the rank tie-break.
+	key string
+	// fromBase marks tuples retrieved by the precise base query itself.
+	fromBase bool
+	// foundBy lists the trace indices of every relaxation step that
+	// retrieved the tuple, in issue order; filled only under a recorder.
+	foundBy []int
+}
+
+// appendTupleKey appends t's canonical content key to dst: each value's
+// relation.Value key followed by a unit separator.
+func appendTupleKey(dst []byte, sc *relation.Schema, t relation.Tuple) []byte {
+	for i, v := range t {
+		dst = v.AppendKey(dst, sc.Type(i))
+		dst = append(dst, '\x1f')
+	}
+	return dst
+}
+
+// ranksBefore is the answer order: higher Sim first, ties broken by the
+// smaller tuple key. Keys are unique within Aes, so the order is total and
+// the top k do not depend on insertion order.
+func ranksBefore(a, b *entry) bool {
+	if a.Sim != b.Sim {
+		return a.Sim > b.Sim
+	}
+	return a.key < b.key
+}
+
+// topK returns the k best entries under ranksBefore, best first. It keeps a
+// bounded heap of at most min(k, len(ents)) candidates, rooted at the worst
+// one kept, so each further entry costs one comparison unless it displaces
+// the root.
+func topK(ents []entry, k int) []*entry {
+	n := min(k, len(ents))
+	if n <= 0 {
+		return nil
+	}
+	h := make([]*entry, n)
+	for i := range h {
+		h[i] = &ents[i]
+	}
+	for j := n/2 - 1; j >= 0; j-- {
+		siftWorst(h, j)
+	}
+	for i := n; i < len(ents); i++ {
+		if a := &ents[i]; ranksBefore(a, h[0]) {
+			h[0] = a
+			siftWorst(h, 0)
+		}
+	}
+	// Heapsort: move the worst remaining entry to the back until the slice
+	// runs best first.
+	for end := n - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftWorst(h[:end], 0)
+	}
+	return h
+}
+
+// siftWorst restores the heap below j: every entry ranks before its parent.
+func siftWorst(h []*entry, j int) {
+	for {
+		w := j
+		for _, c := range [2]int{2*j + 1, 2*j + 2} {
+			if c < len(h) && ranksBefore(h[w], h[c]) {
+				w = c
+			}
+		}
+		if w == j {
+			return
+		}
+		h[j], h[w] = h[w], h[j]
+		j = w
+	}
 }
 
 // pruneEps is the float-safety margin of the Sim-bound prune: a step is
@@ -479,9 +531,9 @@ type pruneBound struct {
 	keyed bool
 }
 
-// pruneBoundFor precomputes the prune state for one base tuple.
-func (e *Engine) pruneBoundFor(t relation.Tuple, bound, all relation.AttrSet, sc *relation.Schema, keyMaxErr float64) pruneBound {
-	weights := e.Est.Ordering.ImportanceWeights(all)
+// pruneBoundFor precomputes the prune state for one base tuple under the
+// all-attribute gate weights.
+func (e *Engine) pruneBoundFor(t relation.Tuple, bound relation.AttrSet, weights []float64, sc *relation.Schema, keyMaxErr float64) pruneBound {
 	pb := pruneBound{penalty: make([]float64, sc.Arity())}
 	if bk := e.Est.Ordering.BestKey; !bk.Attrs.Empty() && bk.Error <= keyMaxErr && bound.Contains(bk.Attrs) {
 		pb.key = bk.Attrs

@@ -131,10 +131,12 @@ func RunFig8(l *Lab) (*Fig8Result, error) {
 			cands = append(cands, sample.Tuple(poolRng.Intn(sample.Size())))
 		}
 		var latent, mined, uniform, rockSim []float64
+		minedW := pipe.Est.Ordering.ImportanceWeights(q.BoundAttrs())
+		uniformW := uniformEst.Ordering.ImportanceWeights(q.BoundAttrs())
 		for _, c := range cands {
 			latent = append(latent, car.TrueTupleSim(qt, c))
-			mined = append(mined, pipe.Est.Sim(q, c))
-			uniform = append(uniform, uniformEst.Sim(q, c))
+			mined = append(mined, pipe.Est.Sim(q, c, minedW))
+			uniform = append(uniform, uniformEst.Sim(q, c, uniformW))
 			rockSim = append(rockSim, rockAns.Similarity(qt, c))
 		}
 		align["AIMQ-GuidedRelax"] = append(align["AIMQ-GuidedRelax"], metrics.Spearman(mined, latent))

@@ -96,7 +96,8 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 		Where("Model", query.OpLike, relation.Cat("Camry")).
 		Where("Price", query.OpLike, relation.Numv(10000))
 	tp := relation.Tuple{relation.Cat("Honda"), relation.Cat("Accord"), relation.Cat("sedan"), relation.Numv(10300)}
-	if a, b := est.Sim(q, tp), est2.Sim(q, tp); math.Abs(a-b) > 1e-15 {
+	w := est.Ordering.ImportanceWeights(q.BoundAttrs())
+	if a, b := est.Sim(q, tp, w), est2.Sim(q, tp, est2.Ordering.ImportanceWeights(q.BoundAttrs())); math.Abs(a-b) > 1e-15 {
 		t.Errorf("Sim differs after restore: %v vs %v", a, b)
 	}
 }

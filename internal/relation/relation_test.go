@@ -73,6 +73,28 @@ func TestValueKeyCollision(t *testing.T) {
 	}
 }
 
+// TestAppendKeyMatchesKey pins the one-encoder contract: Key is exactly the
+// bytes AppendKey appends, for every value shape and after any prefix.
+func TestAppendKeyMatchesKey(t *testing.T) {
+	cases := []struct {
+		v   Value
+		typ AttrType
+	}{
+		{Cat("Camry"), Categorical}, {Cat(""), Categorical}, {NullValue, Categorical},
+		{Numv(10000), Numeric}, {Numv(9000), Numeric}, {Numv(-0.125), Numeric},
+		{Numv(1e21), Numeric}, {Numv(1.0 / 3), Numeric}, {NullValue, Numeric},
+	}
+	for _, c := range cases {
+		if got := string(c.v.AppendKey(nil, c.typ)); got != c.v.Key(c.typ) {
+			t.Errorf("AppendKey(%v, %v) = %q, Key = %q", c.v, c.typ, got, c.v.Key(c.typ))
+		}
+		prefix := []byte("p\x1f")
+		if got := string(c.v.AppendKey(prefix, c.typ)); got != "p\x1f"+c.v.Key(c.typ) {
+			t.Errorf("AppendKey after a prefix = %q", got)
+		}
+	}
+}
+
 func TestValueRender(t *testing.T) {
 	cases := []struct {
 		v    Value

@@ -78,14 +78,26 @@ func (v Value) Equal(o Value, t AttrType) bool {
 
 // Key renders the value as a canonical map key under the given type. Numeric
 // keys use the shortest round-trip float formatting so 10000 and 1e4 collide.
+// The bytes are exactly those AppendKey appends.
 func (v Value) Key(t AttrType) string {
+	if !v.Null && t == Categorical {
+		return v.Str // the key is the string itself; skip the copy
+	}
+	var buf [32]byte
+	return string(v.AppendKey(buf[:0], t))
+}
+
+// AppendKey appends the value's canonical key (see Key) to dst and returns
+// the extended buffer. Callers keying many values reuse one buffer, so the
+// key costs no allocation until it is kept.
+func (v Value) AppendKey(dst []byte, t AttrType) []byte {
 	if v.Null {
-		return "\x00null"
+		return append(dst, "\x00null"...)
 	}
 	if t == Numeric {
-		return strconv.FormatFloat(v.Num, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.Num, 'g', -1, 64)
 	}
-	return v.Str
+	return append(dst, v.Str...)
 }
 
 // Render formats the value for human-facing output.

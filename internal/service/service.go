@@ -446,10 +446,15 @@ func (s *Service) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	s.met.inflight.Add(1)
 	defer s.met.inflight.Add(-1)
 
-	req, err := parseAnswerRequest(r)
+	req, err := parseAnswerRequest(w, r)
 	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
 		s.met.requestsErr.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
 	q, err := query.Parse(s.src.Schema(), req.Query)
@@ -806,11 +811,15 @@ func (s *Service) SharedFlights() int64 { return s.met.flightShared.Load() }
 // chaos benchmark asserts on.
 func (s *Service) StaleServes() int64 { return s.met.staleServes.Load() }
 
-func parseAnswerRequest(r *http.Request) (*answerRequest, error) {
+// maxAnswerBody bounds the POST /answer body. A request is one query string
+// and four scalars; a larger body is refused with 413 rather than buffered.
+const maxAnswerBody = 64 << 10
+
+func parseAnswerRequest(w http.ResponseWriter, r *http.Request) (*answerRequest, error) {
 	if r.Method == http.MethodPost {
 		var req answerRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return nil, fmt.Errorf("bad request body: %v", err)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAnswerBody)).Decode(&req); err != nil {
+			return nil, fmt.Errorf("bad request body: %w", err)
 		}
 		if strings.TrimSpace(req.Query) == "" {
 			return nil, errors.New("missing \"query\"")

@@ -305,6 +305,49 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestAnswerBodyLimit drives POST /answer through the real router over
+// HTTP: a body past maxAnswerBody is refused with 413 and the usual error
+// body, counted as a rejected request, while a normal body still answers.
+func TestAnswerBodyLimit(t *testing.T) {
+	svc := newService(t, testDB(800, 6), nil, Config{})
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	post := func(body string) (int, map[string]any) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/answer", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("bad JSON response: %v", err)
+		}
+		return resp.StatusCode, out
+	}
+
+	rejected := svc.met.requestsErr.Load()
+	huge := `{"query":"Model like ` + strings.Repeat("x", maxAnswerBody) + `"}`
+	code, out := post(huge)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413 (%v)", code, out)
+	}
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "too large") {
+		t.Errorf("oversized body: error %q", msg)
+	}
+	if got := svc.met.requestsErr.Load(); got != rejected+1 {
+		t.Errorf("rejected requests %d, want %d", got, rejected+1)
+	}
+
+	code, out = post(`{"query":"Model like Civic","k":3}`)
+	if code != http.StatusOK {
+		t.Fatalf("normal body: status %d (%v)", code, out)
+	}
+	if rows, _ := out["answers"].([]any); len(rows) == 0 {
+		t.Errorf("normal body: no answers in %v", out)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	svc := newService(t, testDB(800, 7), nil, Config{})
 	code, out := do(t, svc, "GET", "/healthz", "")

@@ -31,7 +31,7 @@ func TestSimExplainSumsExactly(t *testing.T) {
 			t.Fatalf("Parse(%q): %v", qs, err)
 		}
 		for _, tp := range tuples {
-			want := e.Sim(q, tp)
+			want := sim(e, q, tp)
 			total, contribs := e.SimExplain(q, tp)
 			if total != want {
 				t.Errorf("%q vs %v: SimExplain total %v != Sim %v", qs, tp, total, want)
@@ -69,7 +69,7 @@ func TestSimExplainNullValue(t *testing.T) {
 	if contribs[0].Weight == 0 {
 		t.Errorf("null contribution lost its weight")
 	}
-	if total != e.Sim(q, tp) {
-		t.Errorf("total %v != Sim %v", total, e.Sim(q, tp))
+	if total != sim(e, q, tp) {
+		t.Errorf("total %v != Sim %v", total, sim(e, q, tp))
 	}
 }

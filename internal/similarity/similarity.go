@@ -401,15 +401,12 @@ func NumericSim(q, t float64) float64 {
 }
 
 // Sim computes Sim(Q, t): the importance-weighted similarity between an
-// imprecise query and a candidate tuple over the query's bound attributes.
-// Range predicates and comparisons contribute via their boundary value
-// (range via its midpoint). Null tuple values contribute 0.
-func (e *Estimator) Sim(q *query.Query, t relation.Tuple) float64 {
-	bound := q.BoundAttrs()
-	if bound.Empty() {
-		return 0
-	}
-	weights := e.Ordering.ImportanceWeights(bound)
+// imprecise query and a candidate tuple over the query's bound attributes,
+// under weights = Ordering.ImportanceWeights(q.BoundAttrs()). Callers
+// scoring many tuples against one query compute the weights once. Range
+// predicates and comparisons contribute via their boundary value (range via
+// its midpoint). Null tuple values contribute 0.
+func (e *Estimator) Sim(q *query.Query, t relation.Tuple, weights []float64) float64 {
 	total := 0.0
 	for _, p := range q.Preds {
 		tv := t[p.Attr]
@@ -480,24 +477,23 @@ func (e *Estimator) SimExplain(q *query.Query, t relation.Tuple) (float64, []obs
 	return total, contribs
 }
 
-// SimTuples computes the similarity between two tuples over the given
-// attributes, treating the first tuple as a fully-bound query (Algorithm 1
-// measures Sim(t, t′) between a base-set tuple and a retrieved tuple).
-func (e *Estimator) SimTuples(t1, t2 relation.Tuple, attrs relation.AttrSet) float64 {
-	if attrs.Empty() {
-		return 0
-	}
-	weights := e.Ordering.ImportanceWeights(attrs)
+// SimTuples computes the similarity between two tuples, treating the first
+// tuple as a fully-bound query (Algorithm 1 measures Sim(t, t′) between a
+// base-set tuple and a retrieved tuple). weights is
+// Ordering.ImportanceWeights of the compared attribute set, so attributes
+// outside it weigh 0; the engine's gate compares every attribute and
+// computes those weights once per request.
+func (e *Estimator) SimTuples(t1, t2 relation.Tuple, weights []float64) float64 {
 	total := 0.0
-	for _, a := range attrs.Members() {
+	for a, w := range weights {
 		v1, v2 := t1[a], t2[a]
 		if v1.IsNull() || v2.IsNull() {
 			continue
 		}
 		if e.Schema.Type(a) == relation.Categorical {
-			total += weights[a] * e.VSim(a, v1.Str, v2.Str)
+			total += w * e.VSim(a, v1.Str, v2.Str)
 		} else {
-			total += weights[a] * NumericSim(v1.Num, v2.Num)
+			total += w * NumericSim(v1.Num, v2.Num)
 		}
 	}
 	return total

@@ -55,6 +55,11 @@ func buildEstimator(t testing.TB, rel *relation.Relation) *Estimator {
 	return New(idx, ord, Config{})
 }
 
+// sim scores t against q under q's importance weights.
+func sim(e *Estimator, q *query.Query, t relation.Tuple) float64 {
+	return e.Sim(q, t, e.Ordering.ImportanceWeights(q.BoundAttrs()))
+}
+
 func TestVSimStructure(t *testing.T) {
 	e := buildEstimator(t, structuredRel())
 	model := e.Schema.MustIndex("Model")
@@ -180,7 +185,7 @@ func TestSimQueryTuple(t *testing.T) {
 	accord := relation.Tuple{relation.Cat("Honda"), relation.Cat("Accord"), relation.Cat("sedan"), relation.Numv(10500)}
 	truck := relation.Tuple{relation.Cat("Ford"), relation.Cat("F150"), relation.Cat("truck"), relation.Numv(25000)}
 
-	sCamry, sAccord, sTruck := e.Sim(q, camry), e.Sim(q, accord), e.Sim(q, truck)
+	sCamry, sAccord, sTruck := sim(e, q, camry), sim(e, q, accord), sim(e, q, truck)
 	if !(sCamry > sAccord && sAccord > sTruck) {
 		t.Errorf("Sim ordering wrong: camry=%v accord=%v truck=%v", sCamry, sAccord, sTruck)
 	}
@@ -190,7 +195,7 @@ func TestSimQueryTuple(t *testing.T) {
 	if sTruck < 0 || sTruck > 1 {
 		t.Errorf("Sim out of bounds: %v", sTruck)
 	}
-	if got := e.Sim(query.New(s), camry); got != 0 {
+	if got := sim(e, query.New(s), camry); got != 0 {
 		t.Errorf("empty query Sim = %v", got)
 	}
 }
@@ -200,7 +205,7 @@ func TestSimRangePredicateUsesMidpoint(t *testing.T) {
 	s := e.Schema
 	q := query.New(s).WhereRange("Price", 9000, 11000) // midpoint 10000
 	tp := relation.Tuple{relation.Cat("Toyota"), relation.Cat("Camry"), relation.Cat("sedan"), relation.Numv(10000)}
-	if got := e.Sim(q, tp); math.Abs(got-1) > 1e-9 {
+	if got := sim(e, q, tp); math.Abs(got-1) > 1e-9 {
 		t.Errorf("range midpoint Sim = %v, want 1", got)
 	}
 }
@@ -212,7 +217,7 @@ func TestSimNullTupleValue(t *testing.T) {
 		Where("Model", query.OpLike, relation.Cat("Camry")).
 		Where("Price", query.OpLike, relation.Numv(10000))
 	tp := relation.Tuple{relation.Cat("Toyota"), relation.NullValue, relation.Cat("sedan"), relation.Numv(10000)}
-	got := e.Sim(q, tp)
+	got := sim(e, q, tp)
 	if got <= 0 || got >= 1 {
 		t.Errorf("null-model Sim = %v, want strictly between 0 and 1", got)
 	}
@@ -223,11 +228,12 @@ func TestSimTuples(t *testing.T) {
 	all := relation.NewAttrSet(0, 1, 2, 3)
 	camry := relation.Tuple{relation.Cat("Toyota"), relation.Cat("Camry"), relation.Cat("sedan"), relation.Numv(10000)}
 	accord := relation.Tuple{relation.Cat("Honda"), relation.Cat("Accord"), relation.Cat("sedan"), relation.Numv(10500)}
-	if got := e.SimTuples(camry, camry, all); math.Abs(got-1) > 1e-9 {
+	w := e.Ordering.ImportanceWeights(all)
+	if got := e.SimTuples(camry, camry, w); math.Abs(got-1) > 1e-9 {
 		t.Errorf("self SimTuples = %v", got)
 	}
-	ab := e.SimTuples(camry, accord, all)
-	ba := e.SimTuples(accord, camry, all)
+	ab := e.SimTuples(camry, accord, w)
+	ba := e.SimTuples(accord, camry, w)
 	if ab <= 0 || ab > 1 {
 		t.Errorf("SimTuples out of range: %v", ab)
 	}
@@ -236,8 +242,51 @@ func TestSimTuples(t *testing.T) {
 	if math.Abs(ab-ba) > 0.05 {
 		t.Errorf("SimTuples wildly asymmetric: %v vs %v", ab, ba)
 	}
-	if got := e.SimTuples(camry, accord, relation.AttrSet(0)); got != 0 {
+	if got := e.SimTuples(camry, accord, e.Ordering.ImportanceWeights(relation.AttrSet(0))); got != 0 {
 		t.Errorf("empty attrs SimTuples = %v", got)
+	}
+}
+
+// TestSimTuplesMatchesMemberLoop pins the weights-slice loop bit-for-bit to
+// the member loop it replaced (kept here as the oracle), over every
+// attribute subset and tuple pair of the fixture, nulls included.
+func TestSimTuplesMatchesMemberLoop(t *testing.T) {
+	e := buildEstimator(t, structuredRel())
+	oracle := func(t1, t2 relation.Tuple, attrs relation.AttrSet) float64 {
+		if attrs.Empty() {
+			return 0
+		}
+		weights := e.Ordering.ImportanceWeights(attrs)
+		total := 0.0
+		for _, a := range attrs.Members() {
+			v1, v2 := t1[a], t2[a]
+			if v1.IsNull() || v2.IsNull() {
+				continue
+			}
+			if e.Schema.Type(a) == relation.Categorical {
+				total += weights[a] * e.VSim(a, v1.Str, v2.Str)
+			} else {
+				total += weights[a] * NumericSim(v1.Num, v2.Num)
+			}
+		}
+		return total
+	}
+	tuples := []relation.Tuple{
+		{relation.Cat("Toyota"), relation.Cat("Camry"), relation.Cat("sedan"), relation.Numv(10000)},
+		{relation.Cat("Honda"), relation.Cat("Accord"), relation.Cat("sedan"), relation.Numv(9000)},
+		{relation.Cat("Ford"), relation.NullValue, relation.Cat("truck"), relation.Numv(25000)},
+		{relation.Cat("Dodge"), relation.Cat("Ram"), relation.Cat("truck"), relation.NullValue},
+	}
+	for set := relation.AttrSet(0); set < 16; set++ {
+		w := e.Ordering.ImportanceWeights(set)
+		for _, t1 := range tuples {
+			for _, t2 := range tuples {
+				got, want := e.SimTuples(t1, t2, w), oracle(t1, t2, set)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("attrs %v, %v vs %v: SimTuples %v, oracle %v", set.Members(), t1, t2, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -272,19 +321,19 @@ func TestSimInPredicate(t *testing.T) {
 	q := query.New(s).WhereIn("Model", relation.Cat("Camry"), relation.Cat("F150"))
 	camry := relation.Tuple{relation.Cat("Toyota"), relation.Cat("Camry"), relation.Cat("sedan"), relation.Numv(10000)}
 	// Exact member: best alternative is itself → similarity 1.
-	if got := e.Sim(q, camry); math.Abs(got-1) > 1e-9 {
+	if got := sim(e, q, camry); math.Abs(got-1) > 1e-9 {
 		t.Errorf("in-list member Sim = %v", got)
 	}
 	// Non-member scores its best alternative's VSim.
 	accord := relation.Tuple{relation.Cat("Honda"), relation.Cat("Accord"), relation.Cat("sedan"), relation.Numv(10500)}
 	model := s.MustIndex("Model")
 	want := math.Max(e.VSim(model, "Camry", "Accord"), e.VSim(model, "F150", "Accord"))
-	if got := e.Sim(q, accord); math.Abs(got-want) > 1e-9 {
+	if got := sim(e, q, accord); math.Abs(got-want) > 1e-9 {
 		t.Errorf("in-list Sim = %v, want %v", got, want)
 	}
 	// Numeric in-list takes the closest alternative.
 	qn := query.New(s).WhereIn("Price", relation.Numv(10000), relation.Numv(20000))
-	if got := e.Sim(qn, camry); math.Abs(got-1) > 1e-9 {
+	if got := sim(e, qn, camry); math.Abs(got-1) > 1e-9 {
 		t.Errorf("numeric in Sim = %v", got)
 	}
 }
