@@ -4,7 +4,9 @@
 #   make fmt         — fail when any Go file is not gofmt-clean
 #   make race        — race-check the concurrent packages (service, core,
 #                      webdb, engine's columnar worker pool, similarity's
-#                      chunked pair sweep, the learn pipeline's workers)
+#                      chunked pair sweep, the learn pipeline's workers,
+#                      aimq-serve's stack builder)
+#   make fuzz        — fuzz the query parser for a short fixed time
 #   make perfbench   — vet and test the end-to-end benchmark module
 #   make bench-serve — serving-path benchmarks (cache hit vs miss)
 #   make bench-learn — offline learn-phase scenarios only (probe→mine→order
@@ -22,9 +24,9 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X aimq/internal/version.Version=$(VERSION)
 
-.PHONY: check fmt vet build test race perfbench bench-serve bench-learn bench-engine bench bench-quick bench-check baseline
+.PHONY: check fmt vet build test race fuzz perfbench bench-serve bench-learn bench-engine bench bench-quick bench-check baseline
 
-check: fmt vet build test race perfbench
+check: fmt vet build test race fuzz perfbench
 
 fmt:
 	test -z "$$(gofmt -l .)"
@@ -45,9 +47,16 @@ test:
 # similarity chunks the VSim pair sweep across goroutines. tane shards
 # lattice levels across workers (with its own differential oracle suite),
 # and partition's scratch reuse backs that sharding. learn drives all of
-# those worker pools from one Workers setting.
+# those worker pools from one Workers setting. serve starts the drift,
+# refresh and debug goroutines beside the listener.
 race:
-	$(GO) test -race ./internal/service/... ./internal/core/... ./internal/webdb/... ./internal/obs/... ./internal/engine/... ./internal/similarity/... ./internal/audit/... ./internal/drift/... ./internal/lifecycle/... ./internal/tane/... ./internal/partition/... ./internal/learn/...
+	$(GO) test -race ./internal/service/... ./internal/core/... ./internal/webdb/... ./internal/obs/... ./internal/engine/... ./internal/similarity/... ./internal/audit/... ./internal/drift/... ./internal/lifecycle/... ./internal/tane/... ./internal/partition/... ./internal/learn/... ./internal/serve/...
+
+# Parse reads untrusted query text, and the answer-cache key and cache
+# snapshot rely on Parse(q.Text()) giving q back. A crasher the fuzzer finds
+# lands in internal/query/testdata/fuzz/ and then runs with every go test.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/query
 
 # perfbench is its own module (replace aimq => ../), so the root go test
 # never compiles it; this keeps it building against the service API.

@@ -66,8 +66,8 @@ type Event struct {
 	TimeUnixMs int64  `json:"time_unix_ms"`
 	// TraceID links the event to /debug/traces and distributed traces.
 	TraceID string `json:"trace_id,omitempty"`
-	// Query is the Parse-round-trippable query text; Key is the normalized
-	// cache key (predicates sorted, k and tsim folded in).
+	// Query is the Parse-round-trippable canonical query text (query.Text);
+	// Key is the answer-cache key: that text with k and tsim folded in.
 	Query string  `json:"query"`
 	Key   string  `json:"key,omitempty"`
 	K     int     `json:"k"`

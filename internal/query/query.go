@@ -99,7 +99,10 @@ func (p Predicate) Matches(t relation.Tuple, s *relation.Schema) bool {
 }
 
 // Render formats the predicate under the schema.
-func (p Predicate) Render(s *relation.Schema) string {
+func (p Predicate) Render(s *relation.Schema) string { return p.render(s, ", ") }
+
+// render formats the predicate with in-list values joined by inSep.
+func (p Predicate) render(s *relation.Schema, inSep string) string {
 	name := s.Attr(p.Attr).Name
 	typ := s.Type(p.Attr)
 	if p.Op == OpRange {
@@ -110,7 +113,7 @@ func (p Predicate) Render(s *relation.Schema) string {
 		for i, v := range p.Values {
 			alts[i] = v.Render(typ)
 		}
-		return fmt.Sprintf("%s in (%s)", name, strings.Join(alts, ", "))
+		return fmt.Sprintf("%s in (%s)", name, strings.Join(alts, inSep))
 	}
 	return fmt.Sprintf("%s %s %s", name, p.Op, p.Value.Render(typ))
 }
@@ -241,33 +244,24 @@ func FromTuple(s *relation.Schema, t relation.Tuple) *Query {
 	return q
 }
 
-// String renders the query in the paper's notation, e.g.
-// "R(Model = Camry ∧ Price < 10000)". Predicates print in attribute order
-// for stable output.
 // Text renders the query in the comma-separated clause syntax Parse
 // accepts, so it can be persisted and replayed later (the service's
-// cache-warming snapshot does this). In-lists use the parser's "|"
-// separator; the display form String does not round-trip.
+// cache-warming snapshot does this). Clauses print sorted, so predicate
+// order never changes the text; the service keys its answer cache on it.
+// In-lists use the parser's "|" separator; the display form String does
+// not round-trip.
 func (q *Query) Text() string {
-	preds := make([]Predicate, len(q.Preds))
-	copy(preds, q.Preds)
-	sort.SliceStable(preds, func(i, j int) bool { return preds[i].Attr < preds[j].Attr })
-	parts := make([]string, len(preds))
-	for i, p := range preds {
-		if p.Op == OpIn {
-			typ := q.Schema.Type(p.Attr)
-			alts := make([]string, len(p.Values))
-			for j, v := range p.Values {
-				alts[j] = v.Render(typ)
-			}
-			parts[i] = fmt.Sprintf("%s in (%s)", q.Schema.Attr(p.Attr).Name, strings.Join(alts, " | "))
-			continue
-		}
-		parts[i] = p.Render(q.Schema)
+	parts := make([]string, len(q.Preds))
+	for i, p := range q.Preds {
+		parts[i] = p.render(q.Schema, " | ")
 	}
+	sort.Strings(parts)
 	return strings.Join(parts, ", ")
 }
 
+// String renders the query in the paper's notation, e.g.
+// "Q(Model = Camry ∧ Price < 10000)". Predicates print in attribute order
+// for stable output.
 func (q *Query) String() string {
 	preds := make([]Predicate, len(q.Preds))
 	copy(preds, q.Preds)

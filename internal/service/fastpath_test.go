@@ -176,13 +176,36 @@ func TestWarmCacheSkipsGarbageEntries(t *testing.T) {
 	snap := CacheSnapshot{Version: cacheSnapshotVersion, Entries: []CacheSnapshotEntry{
 		{Query: "Nope like Nothing", K: 10, Tsim: 0.5}, // unknown attribute
 		{Query: "", K: 10, Tsim: 0.5},                  // empty
-		{Query: "Model like Camry", K: 0, Tsim: 0.5},   // bad k
+		{Query: "Model like Camry", K: -1, Tsim: 0.5},  // bad k
+		{Query: "Model like Camry", K: 0, Tsim: 0.5},   // default k: the entry below
 		{Query: "Model like Camry", K: 10, Tsim: 1.5},  // bad tsim
 		{Query: "Model like Camry", K: 10, Tsim: 0.5},  // the one good entry
 	}}
 	n, err := s.WarmCache(context.Background(), snap)
 	if err != nil || n != 1 {
 		t.Fatalf("warm: n=%d err=%v, want exactly the valid entry warmed", n, err)
+	}
+}
+
+// A warmed entry must be the one its request hits: k resolves through the
+// request path's bounds, so an entry above MaxK warms the clamped k.
+func TestWarmCacheClampsKLikeRequests(t *testing.T) {
+	s := newService(t, testDB(2000, 1), nil, Config{MaxK: 5})
+	snap := CacheSnapshot{Version: cacheSnapshotVersion, Entries: []CacheSnapshotEntry{
+		{Query: "Model like Camry", K: 50, Tsim: 0.5},
+	}}
+	if n, err := s.WarmCache(context.Background(), snap); err != nil || n != 1 {
+		t.Fatalf("warm: n=%d err=%v, want 1", n, err)
+	}
+	code, body := do(t, s, http.MethodGet, "/answer?q="+url.QueryEscape("Model like Camry")+"&k=50", "")
+	if code != http.StatusOK {
+		t.Fatalf("answer: %d %v", code, body)
+	}
+	if cached, _ := body["cached"].(bool); !cached {
+		t.Errorf("the k=50 request missed the entry warmed from k=50")
+	}
+	if answers, _ := body["answers"].([]any); len(answers) > 5 {
+		t.Errorf("warmed entry holds %d answers, above MaxK 5", len(answers))
 	}
 }
 

@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -858,17 +857,13 @@ func parseAnswerRequest(w http.ResponseWriter, r *http.Request) (*answerRequest,
 	return req, nil
 }
 
-// cacheKey normalizes a parsed query for caching: predicates are rendered
-// and sorted so "A like x, B like y" and "B like y, A like x" share an
-// entry, then joined with the effective k and Tsim (both change the
-// answer set, so both key the cache).
+// cacheKey normalizes a parsed query for caching: its canonical text
+// (query.Text) joined with the effective k and Tsim, which both change the
+// answer set. Text sorts the clauses, so predicate order never changes the
+// key, and Parse reads Text back to the same predicates (FuzzParse), so two
+// different queries never share one.
 func cacheKey(q *query.Query, k int, tsim float64) string {
-	preds := make([]string, len(q.Preds))
-	for i, p := range q.Preds {
-		preds[i] = p.Render(q.Schema)
-	}
-	sort.Strings(preds)
-	return fmt.Sprintf("%s|k=%d|tsim=%g", strings.Join(preds, " & "), k, tsim)
+	return fmt.Sprintf("%s|k=%d|tsim=%g", q.Text(), k, tsim)
 }
 
 func msSince(start time.Time) float64 {

@@ -186,6 +186,22 @@ func TestCacheKeyNormalizesPredicateOrder(t *testing.T) {
 	if code != http.StatusOK || out["cached"] != false {
 		t.Errorf("different k reused the cache: %v", out["cached"])
 	}
+	// Two predicates on one attribute share an entry in either order.
+	do(t, svc, "GET", "/answer?q=Model+like+Camry,+Price+>+5000,+Price+<+15000", "")
+	code, out = do(t, svc, "GET", "/answer?q=Price+<+15000,+Model+like+Camry,+Price+>+5000", "")
+	if code != http.StatusOK || out["cached"] != true {
+		t.Errorf("reordered same-attribute predicates missed the cache: %d %v", code, out["cached"])
+	}
+	// A categorical value may contain " & ": this one predicate on Make
+	// must not share an entry with the two predicates it spells out.
+	code, out = do(t, svc, "GET", "/answer?q=Make+like+Toyota+%26+Model+like+Camry&k=5", "")
+	if code != http.StatusOK || out["cached"] != false {
+		t.Fatalf("one-predicate query: %d %v", code, out["cached"])
+	}
+	code, out = do(t, svc, "GET", "/answer?q=Make+like+Toyota,+Model+like+Camry&k=5", "")
+	if code != http.StatusOK || out["cached"] != false {
+		t.Errorf("two-predicate query served the one-predicate query's entry: %d %v", code, out["cached"])
+	}
 }
 
 // countingSource counts and slows source queries so concurrent identical

@@ -45,9 +45,12 @@ func (s *Service) SnapshotCache(max int) CacheSnapshot {
 
 // WarmCache recomputes and caches every snapshot entry that is not already
 // cached, in snapshot order (hottest first), stopping early when ctx is
-// done. Entries that no longer parse against the served schema or whose
-// computation fails are skipped — a stale snapshot must never prevent
-// startup. Returns how many entries were computed into the cache.
+// done. Each entry's k and Tsim resolve exactly as a request's do (k
+// clamped to MaxK), so a warmed entry is the one that request hits.
+// Entries that no longer parse against the served schema, carry an invalid
+// k or Tsim, or whose computation fails are skipped — a stale snapshot must
+// never prevent startup. Returns how many entries were computed into the
+// cache.
 func (s *Service) WarmCache(ctx context.Context, snap CacheSnapshot) (int, error) {
 	warmed := 0
 	for _, e := range snap.Entries {
@@ -58,8 +61,8 @@ func (s *Service) WarmCache(ctx context.Context, snap CacheSnapshot) (int, error
 		if err != nil || len(q.Preds) == 0 {
 			continue
 		}
-		k, tsim := e.K, e.Tsim
-		if k <= 0 || tsim <= 0 || tsim >= 1 {
+		k, tsim, err := s.bounds(&answerRequest{K: e.K, Tsim: e.Tsim})
+		if err != nil {
 			continue
 		}
 		pack := s.currentPack()
