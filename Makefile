@@ -6,7 +6,8 @@
 #                      webdb, engine's columnar worker pool, similarity's
 #                      chunked pair sweep, the learn pipeline's workers,
 #                      aimq-serve's stack builder)
-#   make fuzz        — fuzz the query parser for a short fixed time
+#   make fuzz        — fuzz the query parser, then the columnar engine
+#                      against its legacy oracle, each for a short fixed time
 #   make perfbench   — vet and test the end-to-end benchmark module
 #   make bench-serve — serving-path benchmarks (cache hit vs miss)
 #   make bench-learn — offline learn-phase scenarios only (probe→mine→order
@@ -53,10 +54,14 @@ race:
 	$(GO) test -race ./internal/service/... ./internal/core/... ./internal/webdb/... ./internal/obs/... ./internal/engine/... ./internal/similarity/... ./internal/audit/... ./internal/drift/... ./internal/lifecycle/... ./internal/tane/... ./internal/partition/... ./internal/learn/... ./internal/serve/...
 
 # Parse reads untrusted query text, and the answer-cache key and cache
-# snapshot rely on Parse(q.Text()) giving q back. A crasher the fuzzer finds
-# lands in internal/query/testdata/fuzz/ and then runs with every go test.
+# snapshot rely on Parse(q.Text()) giving q back. FuzzColumnarVsLegacy picks
+# small relations with -0, NaN and NULL numerics, conjunctions and limits,
+# and holds both columnar paths (chunks and the exact-value walk) to the
+# legacy row oracle. A crasher the fuzzer finds lands in the package's
+# testdata/fuzz/ and then runs with every go test.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzColumnarVsLegacy$$' -fuzztime 10s ./internal/engine
 
 # perfbench is its own module (replace aimq => ../), so the root go test
 # never compiles it; this keeps it building against the service API.
@@ -82,9 +87,10 @@ bench-quick:
 
 # The alloc gates are absolute, not baseline-relative: the zero-allocation
 # serve path stays under 16 allocs/op (measured ~3), the columnar engine's
-# scan path under 64 (measured ~9: plan + accumulator + result), and one
-# guided Algorithm 1 answer under 2000 (measured ~1,130; 2,888 when every
-# tuple key was rebuilt by string concatenation).
+# scan path under 64 (measured ~9 on one CPU: plan + accumulator + result;
+# 13 on two, where unlimited scans fan out), and one guided Algorithm 1
+# answer under 2000 (measured ~1,060; 2,888 when every tuple key was
+# rebuilt by string concatenation).
 bench-check:
 	$(GO) run -ldflags '$(LDFLAGS)' ./cmd/aimq-bench -quick -out bench-results \
 		-baseline bench/baseline -threshold 2 -alloc-gate serve-warm=16,engine-scan=64,guided=2000

@@ -1,8 +1,8 @@
 // Package column provides the columnar storage layer behind the simulated
 // autonomous database: typed column chunks with dictionary-encoded
 // categoricals, float64 numerics, per-chunk null bitmaps and min/max zone
-// maps, plus per-value posting bitmaps for low-cardinality categorical
-// attributes.
+// maps, per-value posting bitmaps for low-cardinality categorical
+// attributes, and an exact-value index on every numeric attribute.
 //
 // A Store is an immutable column-oriented copy of a relation.Relation,
 // built once and then read concurrently by the boolean query engine. The
@@ -16,8 +16,16 @@
 //   - Numeric attributes are stored as flat float64 slices with NaN standing
 //     in for NULL — IEEE comparison semantics make NaN fail every range
 //     predicate, which matches the query model's "null never satisfies a
-//     predicate" rule for free. Per-chunk min/max zone maps let range
-//     predicates skip or blanket-accept whole chunks.
+//     predicate" rule for free. A NaN value is stored as NULL: it fails
+//     every predicate too. Per-chunk min/max zone maps let range predicates
+//     skip or blanket-accept whole chunks.
+//   - Every numeric attribute also has an exact-value index: its non-null
+//     positions sorted by (value, position), one uint32 per non-null row and
+//     no per-value allocation. The rows equal to one value are a contiguous
+//     run of it, in ascending position order, found by two binary searches
+//     (Equal). An absent value is an empty run, which short-circuits the
+//     conjunction the way a dictionary miss does. -0 and +0 are one value,
+//     as they are under ==.
 //   - Nulls are additionally tracked in one bitmap per column; chunk sizes
 //     are multiples of 64 bits, so a chunk's null words are a zero-copy
 //     subslice (the "per-chunk null bitmap" view).
@@ -29,6 +37,7 @@ package column
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"aimq/internal/bitmap"
 	"aimq/internal/relation"
@@ -68,8 +77,9 @@ type column struct {
 	postings []*bitmap.Bitmap
 
 	// numeric
-	floats []float64 // per tuple; NaN for NULL
-	zones  []Zone    // per chunk
+	floats  []float64 // per tuple; NaN for NULL
+	zones   []Zone    // per chunk
+	byValue []uint32  // non-null positions sorted by (value, position)
 
 	// both
 	nulls    *bitmap.Bitmap // nil when the column has no NULLs
@@ -171,7 +181,7 @@ func buildNumeric(tuples []relation.Tuple, attr, n, chunkSize, numChunks int) co
 	nan := math.NaN()
 	for i, t := range tuples {
 		v := t[attr]
-		if v.IsNull() {
+		if v.IsNull() || math.IsNaN(v.Num) {
 			c.floats[i] = nan
 			if c.nulls == nil {
 				c.nulls = bitmap.New(n)
@@ -194,7 +204,63 @@ func buildNumeric(tuples []relation.Tuple, attr, n, chunkSize, numChunks int) co
 		}
 		z.NonNull++
 	}
+	c.byValue = sortByValue(c.floats, c.nonNulls)
 	return c
+}
+
+// sortByValue returns the exact-value index of a float column: the non-NaN
+// positions ordered by (value, position). Each value is mapped to a uint64
+// whose unsigned order is the float order, and the keys are LSD radix
+// sorted a byte at a time. Radix sorting is stable, so equal values keep
+// their ascending position order; a pass is skipped when every key shares
+// its byte, which on integral data is most of the high bytes. Only the
+// positions are kept.
+func sortByValue(floats []float64, nonNulls int) []uint32 {
+	keys := make([]uint64, 0, nonNulls)
+	pos := make([]uint32, 0, nonNulls)
+	var counts [8][256]int
+	for i, v := range floats {
+		if math.IsNaN(v) {
+			continue
+		}
+		if v == 0 {
+			v = 0 // -0 == +0: one key for both zeros
+		}
+		k := math.Float64bits(v)
+		if k>>63 != 0 {
+			k = ^k // negative: larger magnitudes sort first
+		} else {
+			k |= 1 << 63
+		}
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+		keys = append(keys, k)
+		pos = append(pos, uint32(i))
+	}
+	if len(keys) < 2 {
+		return pos
+	}
+	keys2 := make([]uint64, len(keys))
+	pos2 := make([]uint32, len(pos))
+	for d := range counts {
+		c, shift := &counts[d], 8*uint(d)
+		if c[byte(keys[0]>>shift)] == len(keys) {
+			continue
+		}
+		sum := 0
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for i, k := range keys {
+			b := byte(k >> shift)
+			keys2[c[b]], pos2[c[b]] = k, pos[i]
+			c[b]++
+		}
+		keys, keys2 = keys2, keys
+		pos, pos2 = pos2, pos
+	}
+	return pos
 }
 
 // Schema returns the store's schema.
@@ -252,6 +318,18 @@ func (s *Store) Codes(attr int) []uint32 { return s.cols[attr].codes }
 // Floats returns the float64 column of a numeric attribute (NaN marks
 // NULLs). Shared, read-only.
 func (s *Store) Floats(attr int) []float64 { return s.cols[attr].floats }
+
+// Equal returns the positions whose value of numeric attr equals x, in
+// ascending order: one run of the exact-value index, found by two binary
+// searches. It is empty when no row holds x, and always for NaN. Shared,
+// read-only.
+func (s *Store) Equal(attr int, x float64) []uint32 {
+	c := &s.cols[attr]
+	idx, vals := c.byValue, c.floats
+	lo := sort.Search(len(idx), func(i int) bool { return vals[idx[i]] >= x })
+	n := sort.Search(len(idx)-lo, func(i int) bool { return vals[idx[lo+i]] > x })
+	return idx[lo : lo+n]
+}
 
 // Zone returns the zone map of chunk c of a numeric attribute.
 func (s *Store) Zone(attr, c int) Zone { return s.cols[attr].zones[c] }

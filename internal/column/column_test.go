@@ -202,3 +202,59 @@ func TestEmptyRelation(t *testing.T) {
 		t.Fatal("empty dictionary resolved a value")
 	}
 }
+
+// TestExactValueIndex checks every run of the exact-value index against a
+// linear scan, over values with signed zeros, NaN and NULL: a run holds
+// exactly the rows == the value, in ascending order; NaN is stored as
+// NULL; and the index keeps one uint32 per non-null row.
+func TestExactValueIndex(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	domain := []float64{negZero, 0, 1, -1, 2.5, 1e6, -1e300, math.Inf(1), math.NaN()}
+	rng := rand.New(rand.NewSource(17))
+	r := relation.New(testSchema())
+	for i := 0; i < 3000; i++ {
+		p := relation.Numv(domain[rng.Intn(len(domain))])
+		switch rng.Intn(10) {
+		case 0:
+			p = relation.NullValue
+		case 1:
+			p = relation.Numv(float64(rng.Intn(100000))) // rare values
+		}
+		r.Append(relation.Tuple{relation.Cat("Toyota"), p})
+	}
+	for _, chunk := range []int{64, 0} {
+		s := MustBuild(r, chunk)
+		floats := s.Floats(1)
+		nonNull := 0
+		for i, tp := range r.Tuples() {
+			stored := !tp[1].IsNull() && !math.IsNaN(tp[1].Num)
+			if stored {
+				nonNull++
+			}
+			if s.Nulls(1).Get(i) == stored {
+				t.Fatalf("row %d (%v): null bit %v", i, tp[1], s.Nulls(1).Get(i))
+			}
+		}
+		if s.NonNullCount(1) != nonNull {
+			t.Fatalf("NonNullCount %d, want %d (NaN counts as NULL)", s.NonNullCount(1), nonNull)
+		}
+		if idx := s.cols[1].byValue; len(idx) != nonNull || cap(idx) != nonNull {
+			t.Fatalf("index holds %d positions (cap %d), want %d", len(idx), cap(idx), nonNull)
+		}
+		probes := append([]float64{7.5, -2, math.Inf(-1)}, domain...)
+		for _, tp := range r.Tuples()[:200] {
+			probes = append(probes, tp[1].Num)
+		}
+		for _, x := range probes {
+			var want []uint32
+			for i, v := range floats {
+				if v == x {
+					want = append(want, uint32(i))
+				}
+			}
+			if got := s.Equal(1, x); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("chunk %d: Equal(%v) = %v, want %v", chunk, x, got, want)
+			}
+		}
+	}
+}

@@ -220,30 +220,46 @@ func (e *Engine) AnswerContext(ctx context.Context, q *query.Query) (*Result, er
 	qWeights := e.Est.Ordering.ImportanceWeights(q.BoundAttrs())
 	gateWeights := e.Est.Ordering.ImportanceWeights(all)
 
-	// Aes accumulates answers keyed by tuple content; a tuple reached via
-	// several base tuples keeps its best gating similarity. Each retrieved
-	// tuple is keyed once into the reused buffer kb; the lookup does not
-	// allocate, and the key string is made only when an answer is inserted.
-	aes := make(map[string]int) // tuple key → index into ents
+	// Each retrieved tuple is keyed once, before its gate, into the reused
+	// buffer kb (relation.AppendTupleKey); the lookup does not allocate, and
+	// the key string is made only for a tuple not seen before. seen records
+	// per key what the tuple became and how the last base tuple to gate it
+	// scored it. ents is Aes: a tuple reached via several base tuples keeps
+	// its best gating similarity.
+	seen := make(map[string]int) // tuple key → index into gates
 	var (
-		ents []entry
-		kb   []byte
+		gates []gate
+		ents  []entry
+		kb    []byte
 	)
-	add := func(t relation.Tuple, baseSim float64) (int, bool) {
-		kb = appendTupleKey(kb[:0], sc, t)
-		if i, ok := aes[string(kb)]; ok {
-			if baseSim > ents[i].BaseSim {
-				ents[i].BaseSim = baseSim
-			}
-			return i, false
+	// lookup keys t and returns its gate record, adding an ungated one for
+	// a tuple not seen before.
+	lookup := func(t relation.Tuple) *gate {
+		kb = relation.AppendTupleKey(kb[:0], sc, t)
+		if i, ok := seen[string(kb)]; ok {
+			return &gates[i]
 		}
 		k := string(kb)
-		aes[k] = len(ents)
+		seen[k] = len(gates)
+		gates = append(gates, gate{key: k, ans: -1, base: -1})
+		return &gates[len(gates)-1]
+	}
+	// answer makes g's tuple an answer, or raises the gating similarity of
+	// the answer it already is; it returns the answer's index in ents and
+	// whether the answer is new.
+	answer := func(g *gate, t relation.Tuple, baseSim float64) (int, bool) {
+		if g.ans >= 0 {
+			if baseSim > ents[g.ans].BaseSim {
+				ents[g.ans].BaseSim = baseSim
+			}
+			return g.ans, false
+		}
+		g.ans = len(ents)
 		ents = append(ents, entry{
 			Answer: Answer{Tuple: t, Sim: e.Est.Sim(q, t, qWeights), BaseSim: baseSim, Seq: len(ents)},
-			key:    k,
+			key:    g.key,
 		})
-		return len(ents) - 1, true
+		return g.ans, true
 	}
 
 	// Tracing state: the entries each step retrieved (to credit the step on
@@ -273,7 +289,7 @@ func (e *Engine) AnswerContext(ctx context.Context, q *query.Query) (*Result, er
 		limit = len(base)
 	}
 	for _, t := range base {
-		i, _ := add(t, 1)
+		i, _ := answer(lookup(t), t, 1)
 		ents[i].fromBase = true
 	}
 
@@ -360,9 +376,16 @@ expansion:
 			stepQualified, stepDups := 0, 0
 			stepHits = stepHits[:0]
 			for _, tp := range tuples {
-				sim := e.Est.SimTuples(t, tp, gateWeights)
-				if sim > cfg.Tsim {
-					i, isNew := add(tp, sim)
+				g := lookup(tp)
+				if g.base != bi {
+					// Gated under this base tuple for the first time. A
+					// re-retrieval under the same base tuple would score the
+					// same content against the same tuple, so it keeps the
+					// outcome and never raises BaseSim.
+					g.base, g.sim = bi, e.Est.SimTuples(t, tp, gateWeights)
+				}
+				if g.sim > cfg.Tsim {
+					i, isNew := answer(g, tp, g.sim)
 					if isNew {
 						qualified++
 						stepQualified++
@@ -426,8 +449,8 @@ expansion:
 // Algorithm 1 keeps beside it.
 type entry struct {
 	Answer
-	// key is the tuple's canonical content key (appendTupleKey): its
-	// identity in Aes and the rank tie-break.
+	// key is the tuple's canonical content key (relation.AppendTupleKey):
+	// its identity in Aes and the rank tie-break.
 	key string
 	// fromBase marks tuples retrieved by the precise base query itself.
 	fromBase bool
@@ -436,14 +459,15 @@ type entry struct {
 	foundBy []int
 }
 
-// appendTupleKey appends t's canonical content key to dst: each value's
-// relation.Value key followed by a unit separator.
-func appendTupleKey(dst []byte, sc *relation.Schema, t relation.Tuple) []byte {
-	for i, v := range t {
-		dst = v.AppendKey(dst, sc.Type(i))
-		dst = append(dst, '\x1f')
-	}
-	return dst
+// gate is what one request knows about a retrieved tuple, by content key.
+type gate struct {
+	key string // relation.AppendTupleKey
+	ans int    // index of the answer the tuple became in ents; -1 for none
+	// base is the last base tuple (index into the base set) whose relaxation
+	// retrieved the tuple, -1 before any, and sim the gating similarity the
+	// tuple scored against it.
+	base int
+	sim  float64
 }
 
 // ranksBefore is the answer order: higher Sim first, ties broken by the

@@ -315,18 +315,25 @@ func oracleQueries(rel *relation.Relation, n int, seed int64) []*query.Query {
 	return out
 }
 
-// TestRankingMatchesOracle compares the engine's keyed entries and bounded
-// top-k heap with the old bookkeeping on seeded random relations: every
-// answer's tuple, Sim and BaseSim bits and Seq, the work stats and — under
-// a recorder — every step record and each answer's FromBase and
-// found-by steps must be identical. Coverage counters assert the run
-// actually exercised exact-Sim ties broken against numeric order, answers
-// with nulls, and answers reached from several base tuples.
+// TestRankingMatchesOracle compares the engine's gate table, keyed entries
+// and bounded top-k heap with the old bookkeeping on seeded random
+// relations: every answer's tuple, Sim and BaseSim bits and Seq, the work
+// stats and — under a recorder — every step record and each answer's
+// FromBase and found-by steps must be identical. Coverage counters assert
+// the run actually exercised exact-Sim ties broken against numeric order,
+// answers with nulls, answers reached from several base tuples, answers
+// re-retrieved under the same base tuple (not re-scored), and answers
+// whose BaseSim a later base tuple raised.
 func TestRankingMatchesOracle(t *testing.T) {
-	var ties, keyOrderTies, nulls, multiBase int
+	var ties, keyOrderTies, nulls, multiBase, sameBase, raised int
 	for _, seed := range []int64{1, 2, 3} {
 		rel := oracleDB(400, seed)
 		ord, est := oraclePipeline(t, rel)
+		all := relation.AttrSet(0)
+		for a := 0; a < rel.Schema().Arity(); a++ {
+			all = all.Add(a)
+		}
+		gateWeights := ord.ImportanceWeights(all)
 		for _, q := range oracleQueries(rel, 8, seed) {
 			for _, k := range []int{1, 10, 1 << 20} {
 				eng := New(webdb.NewLocal(rel), est, &Guided{Ord: ord}, Config{
@@ -353,10 +360,20 @@ func TestRankingMatchesOracle(t *testing.T) {
 						}
 						bases := map[int]bool{}
 						for _, s := range a.Steps {
-							bases[gotTr.Steps[s].Base] = true
+							b := gotTr.Steps[s].Base
+							if bases[b] {
+								sameBase++
+							}
+							bases[b] = true
 						}
 						if len(bases) > 1 {
 							multiBase++
+						}
+						if !a.FromBase && len(a.Steps) > 0 {
+							first := got.Base[gotTr.Steps[a.Steps[0]].Base]
+							if a.BaseSim > est.SimTuples(first, got.Answers[i].Tuple, gateWeights) {
+								raised++
+							}
 						}
 					}
 					for i, a := range want.Answers {
@@ -379,10 +396,41 @@ func TestRankingMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("coverage: %d exact-Sim ties (%d broken against numeric price order), %d answers with nulls, %d answers found from several base tuples",
-		ties, keyOrderTies, nulls, multiBase)
-	if ties == 0 || keyOrderTies == 0 || nulls == 0 || multiBase == 0 {
+	t.Logf("coverage: %d exact-Sim ties (%d broken against numeric price order), %d answers with nulls, "+
+		"%d answers found from several base tuples, %d re-retrievals under the same base tuple, %d BaseSims raised by a later base tuple",
+		ties, keyOrderTies, nulls, multiBase, sameBase, raised)
+	if ties == 0 || keyOrderTies == 0 || nulls == 0 || multiBase == 0 || sameBase == 0 || raised == 0 {
 		t.Errorf("the random relations did not exercise every case the oracle pins")
+	}
+}
+
+// TestSeparatorBytesKeepAnswersApart: two tuples whose categorical strings
+// concatenate to the same bytes around the key's 0x1f separator are
+// distinct answers. A key that appended strings raw gave both one key, and
+// one of them vanished from Aes.
+func TestSeparatorBytesKeepAnswersApart(t *testing.T) {
+	rel := oracleDB(400, 1)
+	twins := []relation.Tuple{
+		{relation.Cat("X\x1fY"), relation.Cat("Z"), relation.Cat("sedan"), relation.Numv(2002), relation.Numv(9500)},
+		{relation.Cat("X"), relation.Cat("Y\x1fZ"), relation.Cat("sedan"), relation.Numv(2002), relation.Numv(9500)},
+	}
+	for _, tp := range twins {
+		rel.Append(tp)
+	}
+	ord, est := oraclePipeline(t, rel)
+	eng := New(webdb.NewLocal(rel), est, &Guided{Ord: ord}, Config{K: 1000, Tsim: 0.01})
+	res, err := eng.Answer(query.New(rel.Schema()).Where("Class", query.OpLike, relation.Cat("sedan")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tw := range twins {
+		found := false
+		for _, a := range res.Answers {
+			found = found || reflect.DeepEqual(a.Tuple, tw)
+		}
+		if !found {
+			t.Errorf("%d answers lack %q", len(res.Answers), tw.Render(rel.Schema()))
+		}
 	}
 }
 

@@ -14,10 +14,14 @@
 // whole conjunction, numeric ranges use per-chunk min/max zone maps to skip
 // or blanket-accept chunks — and conjunctions AND the bitmaps
 // word-at-a-time. Chunk evaluation fans out over a worker pool for
-// unlimited scans. Results are always in ascending position order. The
-// original hash/sorted-index row evaluator survives only as a test oracle
-// (legacy_test.go): the randomized differential and metamorphic suites
-// assert both return identical position sets.
+// unlimited scans. A numeric equality resolves to its run of the column's
+// exact-value index (an absent value empties the plan); when the shortest
+// such run holds no more positions than one posting bitmap has words, the
+// engine walks that run instead of the chunks and tests every other
+// predicate at each position. Results are always in ascending position
+// order. The original hash/sorted-index row evaluator survives only as a
+// test oracle (legacy_test.go): the randomized differential, metamorphic
+// and fuzz suites assert both return identical position sets.
 //
 // The engine also keeps execution statistics so the experiment harness can
 // report how many queries and tuples each relaxation strategy costs (paper
@@ -229,14 +233,51 @@ const (
 	kInCode                  // categorical code ∈ codes (no postings)
 )
 
-// scanPred is one compiled residual predicate.
+// scanPred is one compiled residual predicate, holding the column it reads.
 type scanPred struct {
 	attr   int
 	kind   scanKind
+	floats []float64 // the attribute's values (numeric kinds)
+	codes  []uint32  // the attribute's codes (categorical kinds)
 	lo, hi float64
 	code   uint32
-	codes  []uint32
+	set    []uint32 // kInCode alternatives
 	nums   []float64
+}
+
+// matches reports whether the row at position i satisfies sp. It is the one
+// per-position definition of every residual predicate: the sparse filter
+// and the exact-value walk both test through it. NULL is NaN or NullCode in
+// the column, and fails every test.
+func (sp *scanPred) matches(i int) bool {
+	switch sp.kind {
+	case kLess:
+		return sp.floats[i] < sp.hi
+	case kGreater:
+		return sp.floats[i] > sp.lo
+	case kRange:
+		v := sp.floats[i]
+		return v >= sp.lo && v <= sp.hi
+	case kEqNum:
+		return sp.floats[i] == sp.lo
+	case kInNum:
+		v := sp.floats[i]
+		for _, x := range sp.nums {
+			if v == x {
+				return true
+			}
+		}
+	case kEqCode:
+		return sp.codes[i] == sp.code
+	case kInCode:
+		c := sp.codes[i]
+		for _, code := range sp.set {
+			if c == code {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // colPlan is a compiled columnar query: posting bitmaps to AND, in-list
@@ -246,6 +287,12 @@ type colPlan struct {
 	ands  []*bitmap.Bitmap
 	ors   [][]*bitmap.Bitmap
 	scans []scanPred
+	// cands is the shortest exact-value run among the numeric equalities
+	// (nil when there is none): every match lies in it. candScan is its
+	// predicate's index in scans and candTerm its EXPLAIN plan term.
+	cands    []uint32
+	candScan int
+	candTerm int
 }
 
 // planTerm records one compiled predicate in the EXPLAIN plan. No-op when
@@ -290,12 +337,23 @@ func (e *Engine) compile(q *query.Query, ex *obs.EngineExec) colPlan {
 					p.ands = append(p.ands, b)
 					planTerm(ex, s, pr.Attr, pr.Op, AccessPosting, 0)
 				} else {
-					p.scans = append(p.scans, scanPred{attr: pr.Attr, kind: kEqCode, code: code})
+					p.scans = append(p.scans, e.scanOn(pr.Attr, scanPred{kind: kEqCode, code: code}))
 					planTerm(ex, s, pr.Attr, pr.Op, AccessScan, 0)
 				}
 			} else {
-				p.scans = append(p.scans, scanPred{attr: pr.Attr, kind: kEqNum, lo: pr.Value.Num})
+				run := e.store.Equal(pr.Attr, pr.Value.Num)
+				if len(run) == 0 {
+					p.empty = true // absent value, like a dictionary miss
+					return p
+				}
+				p.scans = append(p.scans, e.scanOn(pr.Attr, scanPred{kind: kEqNum, lo: pr.Value.Num}))
 				planTerm(ex, s, pr.Attr, pr.Op, AccessScan, 0)
+				if p.cands == nil || len(run) < len(p.cands) {
+					p.cands, p.candScan = run, len(p.scans)-1
+					if ex != nil {
+						p.candTerm = len(ex.Plan) - 1
+					}
+				}
 			}
 		case query.OpIn:
 			if cat {
@@ -318,7 +376,7 @@ func (e *Engine) compile(q *query.Query, ex *obs.EngineExec) colPlan {
 				}
 				switch {
 				case scan && len(codes) > 0:
-					p.scans = append(p.scans, scanPred{attr: pr.Attr, kind: kInCode, codes: codes})
+					p.scans = append(p.scans, e.scanOn(pr.Attr, scanPred{kind: kInCode, set: codes}))
 					planTerm(ex, s, pr.Attr, pr.Op, AccessScan, len(codes))
 				case !scan && len(group) > 0:
 					p.ors = append(p.ors, group)
@@ -338,7 +396,7 @@ func (e *Engine) compile(q *query.Query, ex *obs.EngineExec) colPlan {
 					p.empty = true
 					return p
 				}
-				p.scans = append(p.scans, scanPred{attr: pr.Attr, kind: kInNum, nums: nums})
+				p.scans = append(p.scans, e.scanOn(pr.Attr, scanPred{kind: kInNum, nums: nums}))
 				planTerm(ex, s, pr.Attr, pr.Op, AccessScan, len(nums))
 			}
 		case query.OpLess:
@@ -346,21 +404,21 @@ func (e *Engine) compile(q *query.Query, ex *obs.EngineExec) colPlan {
 				p.empty = true // comparisons never match categorical attributes
 				return p
 			}
-			p.scans = append(p.scans, scanPred{attr: pr.Attr, kind: kLess, hi: pr.Value.Num})
+			p.scans = append(p.scans, e.scanOn(pr.Attr, scanPred{kind: kLess, hi: pr.Value.Num}))
 			planTerm(ex, s, pr.Attr, pr.Op, AccessScan, 0)
 		case query.OpGreater:
 			if cat {
 				p.empty = true
 				return p
 			}
-			p.scans = append(p.scans, scanPred{attr: pr.Attr, kind: kGreater, lo: pr.Value.Num})
+			p.scans = append(p.scans, e.scanOn(pr.Attr, scanPred{kind: kGreater, lo: pr.Value.Num}))
 			planTerm(ex, s, pr.Attr, pr.Op, AccessScan, 0)
 		case query.OpRange:
 			if cat {
 				p.empty = true
 				return p
 			}
-			p.scans = append(p.scans, scanPred{attr: pr.Attr, kind: kRange, lo: pr.Value.Num, hi: pr.Hi.Num})
+			p.scans = append(p.scans, e.scanOn(pr.Attr, scanPred{kind: kRange, lo: pr.Value.Num, hi: pr.Hi.Num}))
 			planTerm(ex, s, pr.Attr, pr.Op, AccessScan, 0)
 		default:
 			// Unknown operator: Predicate.Matches returns false for it, so
@@ -370,6 +428,17 @@ func (e *Engine) compile(q *query.Query, ex *obs.EngineExec) colPlan {
 		}
 	}
 	return p
+}
+
+// scanOn completes sp with the attribute and the column it reads.
+func (e *Engine) scanOn(attr int, sp scanPred) scanPred {
+	sp.attr = attr
+	if e.store.Schema().Type(attr) == relation.Categorical {
+		sp.codes = e.store.Codes(attr)
+	} else {
+		sp.floats = e.store.Floats(attr)
+	}
+	return sp
 }
 
 // runColumnar evaluates q over the column store. countOnly popcounts the
@@ -403,6 +472,15 @@ func (e *Engine) runColumnar(q *query.Query, limit int, countOnly bool, ex *obs.
 	}
 	if p.empty || n == 0 {
 		return nil, 0, 0, ec
+	}
+	// Walking the shortest exact-value run costs at most as many position
+	// tests as one posting bitmap over the relation has words to AND.
+	if p.cands != nil && len(p.cands) <= n/bitmap.WordBits {
+		if ex != nil {
+			ex.Plan[p.candTerm].Access = AccessIndex
+		}
+		out, count, ec.sparseChecks = walk(&p, limit, countOnly)
+		return out, count, ec.sparseChecks, ec
 	}
 
 	chunks := e.store.NumChunks()
@@ -458,6 +536,61 @@ func (e *Engine) runColumnar(q *query.Query, limit int, countOnly bool, ex *obs.
 		}
 	}
 	return out, count, scanned, ec
+}
+
+// walk evaluates the plan over its candidate run, in ascending position
+// order: each candidate is tested against every posting, in-list group and
+// residual predicate except the equality the run came from, which it
+// satisfies by construction. limit (> 0) stops the walk once enough
+// positions are collected; countOnly tallies instead of collecting. It
+// returns the number of candidates visited with the matches.
+func walk(p *colPlan, limit int, countOnly bool) (out []int, count int, visited int64) {
+	if !countOnly {
+		n := len(p.cands)
+		if limit > 0 && limit < n {
+			n = limit
+		}
+		out = make([]int, 0, n)
+	}
+next:
+	for _, c := range p.cands {
+		i := int(c)
+		visited++
+		for _, b := range p.ands {
+			if !b.Get(i) {
+				continue next
+			}
+		}
+		for _, group := range p.ors {
+			if !anyGet(group, i) {
+				continue next
+			}
+		}
+		for si := range p.scans {
+			if si != p.candScan && !p.scans[si].matches(i) {
+				continue next
+			}
+		}
+		if countOnly {
+			count++
+			continue
+		}
+		out = append(out, i)
+		if len(out) == limit {
+			break
+		}
+	}
+	return out, count, visited
+}
+
+// anyGet reports whether any bitmap of an in-list group has bit i.
+func anyGet(group []*bitmap.Bitmap, i int) bool {
+	for _, b := range group {
+		if b.Get(i) {
+			return true
+		}
+	}
+	return false
 }
 
 // runChunks evaluates the plan over chunks [c0, c1), honoring limit (> 0)
@@ -547,12 +680,12 @@ func (e *Engine) evalChunk(p *colPlan, c int, acc []uint64, tmp *[]uint64, ec *e
 			// First residual over an untouched chunk: dense kernel over the
 			// whole column chunk beats per-bit iteration.
 			bitmap.ZeroWords(acc)
-			e.denseScan(sp, lo, hi, acc)
+			denseScan(sp, lo, hi, acc)
 			visited += int64(nbits)
 			ec.denseRows += int64(nbits)
 			full, perPos = false, true
 		} else {
-			v := e.sparseFilter(sp, lo, acc)
+			v := sparseFilter(sp, lo, acc)
 			visited += v
 			ec.sparseChecks += v
 			perPos = true
@@ -626,26 +759,26 @@ func (e *Engine) zoneState(sp *scanPred, c, nbits int) int {
 
 // denseScan runs the tight per-row kernel for one predicate over chunk
 // rows [lo, hi), setting bits (chunk-local) in out.
-func (e *Engine) denseScan(sp *scanPred, lo, hi int, out []uint64) {
+func denseScan(sp *scanPred, lo, hi int, out []uint64) {
 	switch sp.kind {
 	case kLess:
-		column.ScanLess(e.store.Floats(sp.attr)[lo:hi], sp.hi, out)
+		column.ScanLess(sp.floats[lo:hi], sp.hi, out)
 	case kGreater:
-		column.ScanGreater(e.store.Floats(sp.attr)[lo:hi], sp.lo, out)
+		column.ScanGreater(sp.floats[lo:hi], sp.lo, out)
 	case kRange:
-		column.ScanRange(e.store.Floats(sp.attr)[lo:hi], sp.lo, sp.hi, out)
+		column.ScanRange(sp.floats[lo:hi], sp.lo, sp.hi, out)
 	case kEqNum:
-		column.ScanEqNum(e.store.Floats(sp.attr)[lo:hi], sp.lo, out)
+		column.ScanEqNum(sp.floats[lo:hi], sp.lo, out)
 	case kInNum:
-		vals := e.store.Floats(sp.attr)[lo:hi]
+		vals := sp.floats[lo:hi]
 		for _, x := range sp.nums {
 			column.ScanEqNum(vals, x, out) // kernels only set bits: union
 		}
 	case kEqCode:
-		column.ScanEqCode(e.store.Codes(sp.attr)[lo:hi], sp.code, out)
+		column.ScanEqCode(sp.codes[lo:hi], sp.code, out)
 	case kInCode:
-		codes := e.store.Codes(sp.attr)[lo:hi]
-		for _, code := range sp.codes {
+		codes := sp.codes[lo:hi]
+		for _, code := range sp.set {
 			column.ScanEqCode(codes, code, out)
 		}
 	}
@@ -654,45 +787,7 @@ func (e *Engine) denseScan(sp *scanPred, lo, hi int, out []uint64) {
 // sparseFilter tests the predicate at each set position of acc (chunk base
 // lo), clearing the bits that fail, and returns the number of positions
 // visited.
-func (e *Engine) sparseFilter(sp *scanPred, lo int, acc []uint64) int64 {
-	var test func(i int) bool
-	switch sp.kind {
-	case kLess:
-		vals, x := e.store.Floats(sp.attr), sp.hi
-		test = func(i int) bool { return vals[i] < x }
-	case kGreater:
-		vals, x := e.store.Floats(sp.attr), sp.lo
-		test = func(i int) bool { return vals[i] > x }
-	case kRange:
-		vals, l, h := e.store.Floats(sp.attr), sp.lo, sp.hi
-		test = func(i int) bool { return vals[i] >= l && vals[i] <= h }
-	case kEqNum:
-		vals, x := e.store.Floats(sp.attr), sp.lo
-		test = func(i int) bool { return vals[i] == x }
-	case kInNum:
-		vals, nums := e.store.Floats(sp.attr), sp.nums
-		test = func(i int) bool {
-			for _, x := range nums {
-				if vals[i] == x {
-					return true
-				}
-			}
-			return false
-		}
-	case kEqCode:
-		codes, code := e.store.Codes(sp.attr), sp.code
-		test = func(i int) bool { return codes[i] == code }
-	case kInCode:
-		codes, set := e.store.Codes(sp.attr), sp.codes
-		test = func(i int) bool {
-			for _, code := range set {
-				if codes[i] == code {
-					return true
-				}
-			}
-			return false
-		}
-	}
+func sparseFilter(sp *scanPred, lo int, acc []uint64) int64 {
 	var visited int64
 	for wi := range acc {
 		w := acc[wi]
@@ -703,7 +798,7 @@ func (e *Engine) sparseFilter(sp *scanPred, lo int, acc []uint64) int64 {
 		for w != 0 {
 			bit := trailingZeros(w)
 			visited++
-			if !test(base + bit) {
+			if !sp.matches(base + bit) {
 				acc[wi] &^= 1 << uint(bit)
 			}
 			w &= w - 1

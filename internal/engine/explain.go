@@ -17,8 +17,14 @@ const (
 	// ORed into a temporary, then ANDed.
 	AccessOrPostings = "or-postings"
 	// AccessScan: residual predicate evaluated per chunk, after zone-map
-	// consultation, by dense or sparse kernels.
+	// consultation, by dense or sparse kernels — or, when another term took
+	// the index path, tested at each of its candidate positions.
 	AccessScan = "scan"
+	// AccessIndex: numeric equality whose exact-value index run drove the
+	// query. The engine walked that run's positions in ascending order and
+	// tested every other term at each; no chunk was visited, so the chunk
+	// counters stay zero and sparse_checks counts the positions walked.
+	AccessIndex = "index"
 )
 
 // execCounters accumulates per-chunk execution telemetry. It is threaded

@@ -6,8 +6,13 @@ package engine
 // engine before the columnar rewrite; it now lives only here, as the oracle
 // the differential and metamorphic suites compare the columnar engine
 // against. Results are in access-path order, not necessarily ascending.
+//
+// Its indexes follow Predicate.Matches on signed zeros and NaN: -0 and +0
+// share one hash entry (they are == as floats), and a NaN value is in no
+// index, since it equals nothing and orders against nothing.
 
 import (
+	"math"
 	"sort"
 
 	"aimq/internal/query"
@@ -41,17 +46,17 @@ func newLegacy(rel *relation.Relation) *legacyEngine {
 	for i, t := range tuples {
 		for a := 0; a < n; a++ {
 			v := t[a]
-			if v.IsNull() {
+			if v.IsNull() || (s.Type(a) == relation.Numeric && math.IsNaN(v.Num)) {
 				continue
 			}
-			k := v.Key(s.Type(a))
+			k := hashKey(v, s.Type(a))
 			e.hash[a][k] = append(e.hash[a][k], int32(i))
 		}
 	}
 	for _, a := range s.NumericAttrs() {
 		idx := make([]int32, 0, len(tuples))
 		for i, t := range tuples {
-			if !t[a].IsNull() {
+			if !t[a].IsNull() && !math.IsNaN(t[a].Num) {
 				idx = append(idx, int32(i))
 			}
 		}
@@ -61,6 +66,14 @@ func newLegacy(rel *relation.Relation) *legacyEngine {
 		e.sorted[a] = idx
 	}
 	return e
+}
+
+// hashKey is v's hash-index key: its canonical key, with -0 keyed as +0.
+func hashKey(v relation.Value, t relation.AttrType) string {
+	if t == relation.Numeric && v.Num == 0 {
+		v.Num = 0
+	}
+	return v.Key(t)
 }
 
 // Count counts by materializing, as the legacy engine always did.
@@ -119,7 +132,7 @@ func (e *legacyEngine) accessPath(q *query.Query) (candidates []int32, residual 
 		eq := false
 		switch p.Op {
 		case query.OpEq, query.OpLike:
-			cand = e.hash[p.Attr][p.Value.Key(s.Type(p.Attr))]
+			cand = e.hash[p.Attr][hashKey(p.Value, s.Type(p.Attr))]
 			eq = true
 		case query.OpIn:
 			// Union of the alternatives' posting lists, re-sorted into
@@ -127,7 +140,7 @@ func (e *legacyEngine) accessPath(q *query.Query) (candidates []int32, residual 
 			// Duplicate alternatives (or ones sharing a posting list) must
 			// not yield duplicate positions: compact after sorting.
 			for _, alt := range p.Values {
-				cand = append(cand, e.hash[p.Attr][alt.Key(s.Type(p.Attr))]...)
+				cand = append(cand, e.hash[p.Attr][hashKey(alt, s.Type(p.Attr))]...)
 			}
 			sort.Slice(cand, func(x, y int) bool { return cand[x] < cand[y] })
 			uniq := cand[:0]
@@ -231,6 +244,9 @@ func (e *legacyEngine) rangeLookup(attr int, lo, hi float64, exclusiveLo bool) [
 	idx := e.sorted[attr]
 	if idx == nil {
 		return nil
+	}
+	if math.IsNaN(lo) || math.IsNaN(hi) {
+		return []int32{} // no value compares with a NaN bound
 	}
 	tuples := e.rel.Tuples()
 	val := func(i int) float64 { return tuples[idx[i]][attr].Num }

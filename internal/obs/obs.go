@@ -106,8 +106,10 @@ type EnginePlanTerm struct {
 	Attr string `json:"attr"`
 	Op   string `json:"op"`
 	// Access is "posting" (zero-scan bitmap AND), "or-postings" (in-list
-	// posting group ORed then ANDed), or "scan" (residual predicate
-	// evaluated per chunk with zone maps + dense/sparse kernels).
+	// posting group ORed then ANDed), "scan" (residual predicate evaluated
+	// per chunk with zone maps + dense/sparse kernels, or per candidate of
+	// an index walk), or "index" (numeric equality whose exact-value run
+	// the engine walked instead of visiting chunks).
 	Access string `json:"access"`
 	// Alternatives counts the in-list values that resolved to postings or
 	// scan codes (or-postings and in-scan terms only).

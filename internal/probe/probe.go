@@ -12,7 +12,6 @@
 package probe
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -157,7 +156,7 @@ func (c *Collector) Collect(pivot string) (*relation.Relation, error) {
 	for _, tuples := range results {
 		c.Stats.TuplesReturned += len(tuples)
 		for _, t := range tuples {
-			kb = appendTupleKey(kb[:0], sc, t)
+			kb = relation.AppendTupleKey(kb[:0], sc, t)
 			if !seen[string(kb)] {
 				seen[string(kb)] = true
 				out.Append(t)
@@ -305,27 +304,6 @@ func (c *Collector) spanningQueries(sc *relation.Schema, attr int, seed []relati
 		qs = append(qs, query.New(sc).WhereRange(name, lo, hi))
 	}
 	return qs, nil
-}
-
-// appendTupleKey appends a dedup key for the tuple into b. Numeric values
-// contribute their raw 8-byte float encoding instead of a formatted string
-// — float formatting was the hottest call in the probe phase, and the raw
-// bits are an exact identity. Per position the width is fixed (8 bytes
-// numeric, delimiter-terminated string otherwise), so keys stay unambiguous
-// even when the raw bytes happen to contain the delimiter.
-func appendTupleKey(b []byte, sc *relation.Schema, t relation.Tuple) []byte {
-	for i, v := range t {
-		switch {
-		case v.Null:
-			b = append(b, '\x00')
-		case sc.Type(i) == relation.Numeric:
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Num))
-		default:
-			b = append(b, v.Str...)
-		}
-		b = append(b, '\x1f')
-	}
-	return b
 }
 
 // PivotCoverage is a diagnostic: it reports, for each candidate pivot

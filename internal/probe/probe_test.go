@@ -87,6 +87,32 @@ func TestCollectDeduplicates(t *testing.T) {
 	}
 }
 
+// TestCollectKeepsTuplesWithSeparatorBytes: tuples whose strings hold the
+// key's separator bytes, or a lone 0x00 where another tuple has NULL, are
+// distinct tuples and all survive dedup; an exact duplicate still does not.
+func TestCollectKeepsTuplesWithSeparatorBytes(t *testing.T) {
+	s := carSchema()
+	rel := relation.New(s)
+	distinct := []relation.Tuple{
+		{relation.Cat("X\x1fY"), relation.Cat("Z"), relation.Numv(2000), relation.Numv(9000)},
+		{relation.Cat("X"), relation.Cat("Y\x1fZ"), relation.Numv(2000), relation.Numv(9000)},
+		{relation.Cat("\x00"), relation.Cat("Z"), relation.Numv(2000), relation.Numv(9000)},
+		{relation.NullValue, relation.Cat("Z"), relation.Numv(2000), relation.Numv(9000)},
+	}
+	for _, tp := range distinct {
+		rel.Append(tp)
+	}
+	rel.Append(distinct[0].Clone())
+	c := New(webdb.NewLocal(rel), rand.New(rand.NewSource(5)))
+	got, err := c.Collect("Year")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Size() != len(distinct) {
+		t.Errorf("dedup kept %d tuples, want %d", got.Size(), len(distinct))
+	}
+}
+
 func TestCollectPartialSeedStillWorks(t *testing.T) {
 	rel := bigRel(5000, 7)
 	c := New(webdb.NewLocal(rel), rand.New(rand.NewSource(8)))

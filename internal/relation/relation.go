@@ -18,6 +18,39 @@ func (t Tuple) Clone() Tuple {
 	return out
 }
 
+// AppendTupleKey appends t's content key under schema s to dst: each
+// value's key (Value.AppendKey) followed by a unit separator (0x1f). A
+// categorical string's 0x00, 0x1e and 0x1f bytes are each escaped by a
+// preceding 0x1e, so the key is injective: an unescaped 0x1f always ends a
+// value, and an unescaped 0x00 only opens a null. Strings without those
+// bytes key as themselves, so on such data the key orders tuples exactly
+// as the concatenated value keys do.
+func AppendTupleKey(dst []byte, s *Schema, t Tuple) []byte {
+	for i := range t {
+		v := &t[i]
+		if typ := s.Type(i); v.Null || typ == Numeric {
+			dst = v.AppendKey(dst, typ)
+		} else {
+			dst = appendEscaped(dst, v.Str)
+		}
+		dst = append(dst, '\x1f')
+	}
+	return dst
+}
+
+// appendEscaped appends str with a 0x1e before each 0x00, 0x1e and 0x1f.
+func appendEscaped(dst []byte, str string) []byte {
+	start := 0
+	for i := 0; i < len(str); i++ {
+		if c := str[i]; c <= '\x1f' && (c == '\x00' || c >= '\x1e') {
+			dst = append(dst, str[start:i]...)
+			dst = append(dst, '\x1e', c)
+			start = i + 1
+		}
+	}
+	return append(dst, str[start:]...)
+}
+
 // Render formats the tuple under the given schema as Name=value pairs.
 func (t Tuple) Render(s *Schema) string {
 	out := "("

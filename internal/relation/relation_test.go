@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -92,6 +93,62 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 		if got := string(c.v.AppendKey(prefix, c.typ)); got != "p\x1f"+c.v.Key(c.typ) {
 			t.Errorf("AppendKey after a prefix = %q", got)
 		}
+	}
+}
+
+// TestNumericKeyMatchesFormatFloat pins the integer fast path of the numeric
+// key: its bytes are strconv.FormatFloat(x, 'g', -1, 64) for every integer
+// within ±1.1e6 (across the 1e6 switch to exponent form), for the values
+// the fast path must refuse (-0, NaN, ±Inf, fractions), and for a million
+// random bit patterns.
+func TestNumericKeyMatchesFormatFloat(t *testing.T) {
+	var buf []byte
+	check := func(x float64) {
+		buf = appendNum(buf[:0], x)
+		if want := strconv.FormatFloat(x, 'g', -1, 64); string(buf) != want {
+			t.Fatalf("key of %v (bits %#x) = %q, want %q", x, math.Float64bits(x), buf, want)
+		}
+	}
+	for i := -1_100_000; i <= 1_100_000; i++ {
+		check(float64(i))
+	}
+	for _, x := range []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 0.1, 999999.5, -999999.5, 1e6, -1e6, 1e21} {
+		check(x)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		check(math.Float64frombits(rng.Uint64()))
+	}
+}
+
+// TestAppendTupleKey pins the tuple key: it is the concatenated value keys,
+// each closed by 0x1f, for values without 0x00, 0x1e or 0x1f; and it tells
+// apart tuples whose raw concatenation would collide.
+func TestAppendTupleKey(t *testing.T) {
+	s := carSchema(t)
+	plain := Tuple{Cat("Toyota"), Cat("Camry"), Numv(2001), NullValue}
+	if got, want := string(AppendTupleKey(nil, s, plain)), "Toyota\x1fCamry\x1f2001\x1f\x00null\x1f"; got != want {
+		t.Errorf("plain key %q, want %q", got, want)
+	}
+	distinct := []Tuple{
+		{Cat("X\x1fY"), Cat("Z"), Numv(1), Numv(2)},
+		{Cat("X"), Cat("Y\x1fZ"), Numv(1), Numv(2)},
+		{Cat("X\x1e"), Cat("\x1fZ"), Numv(1), Numv(2)},
+		{Cat("X\x1e\x1f"), Cat("Z"), Numv(1), Numv(2)},
+		{Cat("\x00null"), Cat("Z"), Numv(1), Numv(2)},
+		{NullValue, Cat("Z"), Numv(1), Numv(2)},
+		{Cat("\x00"), Cat("Z"), Numv(1), Numv(2)},
+		{Cat(""), Cat("Z"), Numv(1), Numv(2)},
+		{Cat("X"), Cat("Z"), Numv(math.Copysign(0, -1)), Numv(2)},
+		{Cat("X"), Cat("Z"), Numv(0), Numv(2)},
+	}
+	seen := map[string]int{}
+	for i, tp := range distinct {
+		k := string(AppendTupleKey([]byte("prefix"), s, tp))[len("prefix"):]
+		if j, ok := seen[k]; ok {
+			t.Errorf("tuples %d and %d share key %q", j, i, k)
+		}
+		seen[k] = i
 	}
 }
 

@@ -95,9 +95,22 @@ func (v Value) AppendKey(dst []byte, t AttrType) []byte {
 		return append(dst, "\x00null"...)
 	}
 	if t == Numeric {
-		return strconv.AppendFloat(dst, v.Num, 'g', -1, 64)
+		return appendNum(dst, v.Num)
 	}
 	return append(dst, v.Str...)
+}
+
+// appendNum appends the bytes strconv.AppendFloat(dst, x, 'g', -1, 64)
+// appends. An integral x below 1e6 in magnitude, other than -0, takes
+// strconv.AppendInt instead: shortest 'g' formatting writes such a value as
+// its plain digits, switching to an exponent only from 1e6 up.
+func appendNum(dst []byte, x float64) []byte {
+	if x > -1e6 && x < 1e6 {
+		if i := int64(x); float64(i) == x && (i != 0 || !math.Signbit(x)) {
+			return strconv.AppendInt(dst, i, 10)
+		}
+	}
+	return strconv.AppendFloat(dst, x, 'g', -1, 64)
 }
 
 // Render formats the value for human-facing output.
