@@ -6,8 +6,9 @@
 #                      webdb, engine's columnar worker pool, similarity's
 #                      chunked pair sweep, the learn pipeline's workers,
 #                      aimq-serve's stack builder)
-#   make fuzz        — fuzz the query parser, then the columnar engine
-#                      against its legacy oracle, each for a short fixed time
+#   make fuzz        — fuzz the query parser, the columnar engine against
+#                      its legacy oracle, then the traceparent parser, each
+#                      for a short fixed time
 #   make perfbench   — vet and test the end-to-end benchmark module
 #   make bench-serve — serving-path benchmarks (cache hit vs miss)
 #   make bench-learn — offline learn-phase scenarios only (probe→mine→order
@@ -54,14 +55,18 @@ race:
 	$(GO) test -race ./internal/service/... ./internal/core/... ./internal/webdb/... ./internal/obs/... ./internal/engine/... ./internal/similarity/... ./internal/audit/... ./internal/drift/... ./internal/lifecycle/... ./internal/tane/... ./internal/partition/... ./internal/learn/... ./internal/serve/...
 
 # Parse reads untrusted query text, and the answer-cache key and cache
-# snapshot rely on Parse(q.Text()) giving q back. FuzzColumnarVsLegacy picks
+# snapshot rely on Parse(q.Text()) giving q back; every accepted query must
+# also render as the fmt-based oracle does. FuzzColumnarVsLegacy picks
 # small relations with -0, NaN and NULL numerics, conjunctions and limits,
 # and holds both columnar paths (chunks and the exact-value walk) to the
-# legacy row oracle. A crasher the fuzzer finds lands in the package's
-# testdata/fuzz/ and then runs with every go test.
+# legacy row oracle. FuzzParseTraceparent feeds the W3C traceparent parser
+# that every traced request reads from its caller. A crasher the fuzzer
+# finds lands in the package's testdata/fuzz/ and then runs with every
+# go test.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnarVsLegacy$$' -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
 
 # perfbench is its own module (replace aimq => ../), so the root go test
 # never compiles it; this keeps it building against the service API.
@@ -88,12 +93,14 @@ bench-quick:
 # The alloc gates are absolute, not baseline-relative: the zero-allocation
 # serve path stays under 16 allocs/op (measured ~3), the columnar engine's
 # scan path under 64 (measured ~9 on one CPU: plan + accumulator + result;
-# 13 on two, where unlimited scans fan out), and one guided Algorithm 1
+# 13 on two, where unlimited scans fan out), one guided Algorithm 1
 # answer under 2000 (measured ~1,060; 2,888 when every tuple key was
-# rebuilt by string concatenation).
+# rebuilt by string concatenation), and one traced cold answer through the
+# service under 4000 (measured ~2,520; 5,768 when every step's query was
+# rendered through fmt and every step kept its own engine plan).
 bench-check:
 	$(GO) run -ldflags '$(LDFLAGS)' ./cmd/aimq-bench -quick -out bench-results \
-		-baseline bench/baseline -threshold 2 -alloc-gate serve-warm=16,engine-scan=64,guided=2000
+		-baseline bench/baseline -threshold 2 -alloc-gate serve-warm=16,engine-scan=64,guided=2000,serve-cold=4000
 
 baseline:
 	$(GO) run -ldflags '$(LDFLAGS)' ./cmd/aimq-bench -quick -out bench/baseline

@@ -129,18 +129,17 @@ func handler(src webdb.Source, traceRing int) http.Handler {
 
 // logRequests emits one structured line per request, tagged with a request
 // ID that is echoed back as X-Request-ID (the caller's own ID is kept when
-// it forwards one, so a mediator's trace and the source's log correlate).
-// When tracing is on, the line also carries the trace ID the query joined —
-// the same ID the mediator's own trace shows for its source_http span.
+// it forwards a usable one, see obs.RequestID, so a mediator's trace and the
+// source's log correlate). When tracing is on, the line also carries the
+// trace ID the query joined — the same ID the mediator's own trace shows for
+// its source_http span.
 func logRequests(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(obs.RequestIDHeader)
-		if id == "" {
-			id = obs.NewRequestID()
-		}
-		w.Header().Set(obs.RequestIDHeader, id)
+		w.Header().Set(obs.RequestIDHeader, obs.RequestID(r.Header.Get(obs.RequestIDHeader)))
 		start := time.Now()
 		next.ServeHTTP(w, r)
+		// A traced /query sets the ID its trace keeps; log that one.
+		id := w.Header().Get(obs.RequestIDHeader)
 		attrs := []any{"request_id", id, "method", r.Method,
 			"url", r.URL.String(), "elapsed", time.Since(start).Round(time.Microsecond)}
 		if tid := w.Header().Get("X-Trace-ID"); tid != "" {

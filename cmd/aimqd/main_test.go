@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -70,5 +72,48 @@ func TestTraceExportKeepsEveryProbe(t *testing.T) {
 	}
 	if tracks != 2 {
 		t.Errorf("export has %d tracks for 2 retained probes, want 2", tracks)
+	}
+}
+
+// TestRequestIDBoundedAndLogged: aimqd replaces a 64 KiB X-Request-ID with a
+// minted one, and its log line, its response and the retained probe trace
+// all carry that one ID; a normal ID is kept by all three.
+func TestRequestIDBoundedAndLogged(t *testing.T) {
+	var logs bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logs, nil)))
+	defer slog.SetDefault(prev)
+
+	h := handler(webdb.NewLocal(datagen.GenerateCarDB(300, 1).Rel), 16)
+	for _, sent := range []string{strings.Repeat("h", 64<<10), "mediator-req-2"} {
+		logs.Reset()
+		r := httptest.NewRequest("GET", "/query?Make=Ford&limit=5", nil)
+		r.Header.Set(obs.RequestIDHeader, sent)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+		id := w.Header().Get(obs.RequestIDHeader)
+		if len(sent) <= 128 && id != sent {
+			t.Errorf("normal ID replaced by %q", id)
+		}
+		if len(sent) > 128 && (id == "" || len(id) > 128) {
+			t.Errorf("%d-byte ID answered with a %d-byte one, want a minted ID", len(sent), len(id))
+		}
+		if !strings.Contains(logs.String(), "request_id="+id+" ") {
+			t.Errorf("log line does not carry the response's ID %q: %.200s", id, logs.String())
+		}
+		w = httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/debug/traces", nil))
+		var list struct {
+			Recent []obs.Trace `json:"recent"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &list); err != nil {
+			t.Fatalf("bad /debug/traces JSON: %v", err)
+		}
+		if got := list.Recent[0].ID; got != id {
+			t.Errorf("probe trace ID of %d bytes, want the response's %q", len(got), id)
+		}
 	}
 }

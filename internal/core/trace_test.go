@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"aimq/internal/afd"
+	"aimq/internal/datagen"
 	"aimq/internal/obs"
 	"aimq/internal/query"
 	"aimq/internal/relation"
@@ -165,6 +168,75 @@ func TestAnswerContextTraceMatchesUntracedRun(t *testing.T) {
 	if plain.Work != traced.Work {
 		t.Errorf("tracing changed the work stats: %+v vs %+v", plain.Work, traced.Work)
 	}
+}
+
+// TestEnginePlansSharedWithinTrace: over a generated CarDB, the steps of
+// one traced answer whose engine plans hold equal terms share one backing
+// array, most steps reuse a plan an earlier step recorded, and every step's
+// plan still equals what a fresh EXPLAIN of the step's query compiles.
+func TestEnginePlansSharedWithinTrace(t *testing.T) {
+	rel := datagen.GenerateCarDB(4000, 1).Rel
+	mined := tane.Miner{Terr: 0.25, MaxLHS: 2}.Mine(rel)
+	ord, err := afd.Order(mined)
+	if err != nil {
+		t.Fatalf("Order: %v", err)
+	}
+	est := similarity.New(supertuple.Builder{Buckets: 10}.Build(rel), ord, similarity.Config{})
+	src := webdb.NewLocal(rel)
+	eng := New(src, est, &Guided{Ord: ord}, Config{K: 10, Tsim: 0.5})
+	sc := rel.Schema()
+	q, err := query.Parse(sc, "Model like Camry, Year like 1999")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder("plans", q.String())
+	res, err := eng.AnswerContext(obs.WithRecorder(context.Background(), rec), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := rec.Finish()
+
+	arrays := map[*obs.EnginePlanTerm]bool{}
+	byContent := map[string]*obs.EnginePlanTerm{}
+	steps := 0
+	for _, st := range tr.Steps {
+		if st.Engine == nil || len(st.Engine.Plan) == 0 {
+			continue
+		}
+		steps++
+		plan := st.Engine.Plan
+		head := &plan[0]
+		arrays[head] = true
+		key := fmt.Sprintf("%+v", plan)
+		if prev, ok := byContent[key]; ok && prev != head {
+			t.Errorf("step %d: plan %s has its own array, not the one an earlier step shares", st.Step, key)
+		}
+		byContent[key] = head
+
+		// The step's query: its base tuple's fully bound query minus the
+		// dropped attributes.
+		var drop relation.AttrSet
+		for _, d := range st.Dropped {
+			drop = drop.Add(sc.MustIndex(d.Attr))
+		}
+		rq := query.FromTuple(sc, res.Base[st.Base]).DropAttrs(drop)
+		if got := rq.String(); got != st.Query {
+			t.Fatalf("step %d: rebuilt query %q, trace has %q", st.Step, got, st.Query)
+		}
+		var fresh obs.EngineExec
+		src.Engine().ExecuteExplained(rq, eng.Cfg.PerQueryLimit, &fresh)
+		if !reflect.DeepEqual(fresh.Plan, plan) {
+			t.Errorf("step %d: recorded plan %+v, fresh EXPLAIN compiles %+v", st.Step, plan, fresh.Plan)
+		}
+	}
+	if steps < 100 {
+		t.Fatalf("only %d steps carry a plan; the fixture should issue hundreds", steps)
+	}
+	if len(arrays) != len(byContent) || len(arrays)*4 > steps {
+		t.Errorf("%d steps hold %d plan arrays for %d distinct plans, want one array per distinct plan and fewer than a quarter as many arrays as steps",
+			steps, len(arrays), len(byContent))
+	}
+	t.Logf("%d steps over %d base tuples share %d plan arrays", steps, len(res.Base), len(arrays))
 }
 
 // BenchmarkAnswerNoRecorder measures the full Algorithm 1 hot path with the

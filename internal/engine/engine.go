@@ -316,6 +316,9 @@ func planTerm(ex *obs.EngineExec, s *relation.Schema, attr int, op query.Op, acc
 func (e *Engine) compile(q *query.Query, ex *obs.EngineExec) colPlan {
 	var p colPlan
 	s := q.Schema
+	if ex != nil {
+		ex.Plan = make([]obs.EnginePlanTerm, 0, len(q.Preds))
+	}
 	for _, pr := range q.Preds {
 		cat := s.Type(pr.Attr) == relation.Categorical
 		switch pr.Op {

@@ -25,6 +25,7 @@ package obs
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 )
@@ -125,6 +126,8 @@ type EngineExec struct {
 	Empty    bool `json:"empty,omitempty"`     // plan short-circuited (dict miss, null binding, …)
 	FullScan bool `json:"full_scan,omitempty"` // empty conjunction: every tuple matches
 
+	// Plan is read-only once recorded: the records of one trace whose
+	// plans hold equal terms share one slice (see Recorder.AddEngineExec).
 	Plan []EnginePlanTerm `json:"plan,omitempty"`
 
 	Chunks        int   `json:"chunks,omitempty"`         // chunks in the store
@@ -261,6 +264,9 @@ type Recorder struct {
 	// logs the probe or step right after the query returns, in the same
 	// goroutine).
 	pending *EngineExec
+	// plans interns engine plans by a hash of their terms (see
+	// AddEngineExec).
+	plans map[uint64][]EnginePlanTerm
 }
 
 // NewRecorder starts a trace for one request, minting a fresh trace ID.
@@ -428,13 +434,60 @@ func (r *Recorder) AddStep(step RelaxStep) int {
 // after the query returns, in the same goroutine, so the pairing is
 // deterministic. A later AddEngineExec before either call replaces the
 // pending record; an unconsumed record is dropped at Finish.
+//
+// The plan is interned: when an earlier record of this trace holds a plan
+// with the same terms (attribute, operator, access and alternatives), ex
+// takes that plan's slice. Relaxation repeats the same drop sets for every
+// base tuple, so most steps share a plan an earlier step recorded. Plan
+// slices are therefore read-only once recorded.
 func (r *Recorder) AddEngineExec(ex EngineExec) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
+	r.internPlan(&ex)
 	r.pending = &ex
 	r.mu.Unlock()
+}
+
+// internPlan points ex.Plan at the trace's earlier slice with equal terms,
+// or makes ex.Plan that slice for later records. A plan whose hash an
+// unequal plan already holds keeps its own slice. Caller holds r.mu.
+func (r *Recorder) internPlan(ex *EngineExec) {
+	if len(ex.Plan) == 0 {
+		return
+	}
+	h := planHash(ex.Plan)
+	if plan, ok := r.plans[h]; ok {
+		if slices.Equal(plan, ex.Plan) {
+			ex.Plan = plan
+		}
+		return
+	}
+	if r.plans == nil {
+		r.plans = make(map[uint64][]EnginePlanTerm)
+	}
+	r.plans[h] = ex.Plan
+}
+
+// planHash is 64-bit FNV-1a over a plan's terms.
+func planHash(plan []EnginePlanTerm) uint64 {
+	h := uint64(14695981039346656037)
+	for _, t := range plan {
+		h = fnvString(h, t.Attr)
+		h = fnvString(h, t.Op)
+		h = fnvString(h, t.Access)
+		h = (h ^ uint64(t.Alternatives)) * 1099511628211
+	}
+	return h
+}
+
+// fnvString folds s and a terminating 0xff byte into the FNV-1a hash h.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return (h ^ 0xff) * 1099511628211
 }
 
 // AddSourceEvent appends one resilience-layer source event.

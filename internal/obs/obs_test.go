@@ -219,6 +219,26 @@ func TestNewRequestIDUnique(t *testing.T) {
 	}
 }
 
+// TestRequestIDBounds: a caller's ID of 1–128 visible ASCII bytes is kept
+// without allocating; anything else is replaced by a minted ID.
+func TestRequestIDBounds(t *testing.T) {
+	for _, h := range []string{"a", "upstream-42", "!~", strings.Repeat("z", 128)} {
+		if got := RequestID(h); got != h {
+			t.Errorf("RequestID(%q) = %q, want it kept", h, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { RequestID(h) }); n != 0 {
+			t.Errorf("RequestID(%q) allocates %v", h, n)
+		}
+	}
+	for _, h := range []string{"", strings.Repeat("z", 129), strings.Repeat("z", 64<<10),
+		"has space", "tab\t", "nl\n", "del\x7f", "nul\x00", "ü"} {
+		got := RequestID(h)
+		if got == h || got == "" || len(got) > 128 {
+			t.Errorf("RequestID(%.20q…) = %.20q…, want a fresh ID", h, got)
+		}
+	}
+}
+
 // TestNilPathZeroAllocs is the allocation guarantee as a hard test (the
 // benchmark below shows the same on demand): with no recorder in the
 // context, the full instrumentation call surface allocates nothing.

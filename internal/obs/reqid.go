@@ -27,3 +27,23 @@ var (
 func NewRequestID() string {
 	return fmt.Sprintf("%s-%06x", reqPrefix, reqSeq.Add(1))
 }
+
+// maxRequestIDLen bounds a caller-supplied request ID.
+const maxRequestIDLen = 128
+
+// RequestID returns the caller's X-Request-ID value h when it is 1 to 128
+// visible ASCII bytes (0x21–0x7e), and a freshly minted ID otherwise.
+// Handlers echo the result, stamp it on log lines and keep it as the ID of
+// a retained trace, so an absent, oversized or unprintable caller value
+// reaches none of them. Accepting h allocates nothing.
+func RequestID(h string) string {
+	if len(h) == 0 || len(h) > maxRequestIDLen {
+		return NewRequestID()
+	}
+	for i := 0; i < len(h); i++ {
+		if h[i] < 0x21 || h[i] > 0x7e {
+			return NewRequestID()
+		}
+	}
+	return h
+}

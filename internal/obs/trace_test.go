@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -48,6 +49,8 @@ func TestParseTraceparentRejects(t *testing.T) {
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",  // all-zero span
 		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",  // uppercase hex
 		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // bad separator
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", // future version, flags run on
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0",   // short flags
 	}
 	for _, h := range bad {
 		if _, ok := ParseTraceparent(h); ok {
@@ -66,6 +69,33 @@ func TestParseTraceparentFutureVersion(t *testing.T) {
 	}
 	if tc.TraceID != "4bf92f3577b34da6a3ce929d0e0e4736" || tc.SpanID != "00f067aa0ba902b7" || !tc.Sampled {
 		t.Fatalf("wrong fields: %+v", tc)
+	}
+	// Flags followed by "-" and a field, or by the end, are well formed.
+	for _, h := range []string{
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-suffix",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+	} {
+		if _, ok := ParseTraceparent(h); !ok {
+			t.Errorf("future version rejected: %q", h)
+		}
+	}
+}
+
+// TestParseTraceparentCopiesIDs: the IDs of an adopted context do not
+// point into the header, so a retained trace never pins a long
+// future-version value.
+func TestParseTraceparentCopiesIDs(t *testing.T) {
+	h := "01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-" + strings.Repeat("x", 64<<10)
+	tc, ok := ParseTraceparent(h)
+	if !ok {
+		t.Fatalf("future version rejected")
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(h)))
+	hi := lo + uintptr(len(h))
+	for _, id := range []string{tc.TraceID, tc.SpanID} {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(id))); p >= lo && p < hi {
+			t.Errorf("ID %q points into the %d-byte header", id, len(h))
+		}
 	}
 }
 
@@ -161,6 +191,40 @@ func TestPendingEngineExecAttachment(t *testing.T) {
 	}
 	if tr.Steps[1].Engine == nil || tr.Steps[1].Engine.Matched != 5 {
 		t.Errorf("step 1 engine = %+v, want its own Matched 5", tr.Steps[1].Engine)
+	}
+}
+
+// TestEnginePlansInterned: records of one trace whose plans hold equal
+// terms share one slice; a plan differing only in access, or one whose hash
+// an unequal plan already holds, keeps its own terms.
+func TestEnginePlansInterned(t *testing.T) {
+	plan := func(access string) []EnginePlanTerm {
+		return []EnginePlanTerm{{Attr: "Make", Op: "=", Access: "posting"}, {Attr: "Price", Op: "=", Access: access}}
+	}
+	rec := NewRecorder("req-5", "Q")
+	for _, access := range []string{"index", "scan", "index"} {
+		rec.AddEngineExec(EngineExec{Plan: plan(access)})
+		rec.AddStep(RelaxStep{})
+	}
+	collide := NewRecorder("req-6", "Q")
+	collide.plans = map[uint64][]EnginePlanTerm{planHash(plan("index")): plan("scan")}
+	collide.AddEngineExec(EngineExec{Plan: plan("index")})
+	collide.AddStep(RelaxStep{})
+
+	steps := rec.Finish().Steps
+	if &steps[0].Engine.Plan[0] != &steps[2].Engine.Plan[0] {
+		t.Errorf("equal plans hold two arrays")
+	}
+	if &steps[0].Engine.Plan[0] == &steps[1].Engine.Plan[0] {
+		t.Errorf("plans differing in access share one array")
+	}
+	for i, want := range []string{"index", "scan", "index"} {
+		if got := steps[i].Engine.Plan[1].Access; got != want {
+			t.Errorf("step %d: Price access %q, want %q", i, got, want)
+		}
+	}
+	if got := collide.Finish().Steps[0].Engine.Plan[1].Access; got != "index" {
+		t.Errorf("plan behind a hash collision reads access %q, want its own index", got)
 	}
 }
 

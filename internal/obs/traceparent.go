@@ -57,8 +57,10 @@ func (tc TraceContext) Header() string {
 
 // ParseTraceparent parses a traceparent header value. It accepts any
 // version except the invalid "ff", per the spec's forward-compatibility
-// rule, but only reads the version-00 fields. ok=false means the header is
-// absent or malformed and the caller should start a fresh trace.
+// rule, but only reads the version-00 fields. A later version may append
+// fields, each after a "-", past the flags. ok=false means the header is
+// absent or malformed and the caller should start a fresh trace. The IDs
+// are copied out of h, so a kept context never pins a long header.
 func ParseTraceparent(h string) (TraceContext, bool) {
 	// version "-" traceid "-" spanid "-" flags, possibly with future
 	// version-specific suffixes after the flags.
@@ -69,7 +71,7 @@ func ParseTraceparent(h string) (TraceContext, bool) {
 	if !validHexChars(ver) || ver == "ff" {
 		return TraceContext{}, false
 	}
-	if ver == "00" && len(h) != 55 {
+	if len(h) > 55 && (ver == "00" || h[55] != '-') {
 		return TraceContext{}, false
 	}
 	tc := TraceContext{TraceID: h[3:35], SpanID: h[36:52]}
@@ -77,6 +79,8 @@ func ParseTraceparent(h string) (TraceContext, bool) {
 	if !tc.Valid() || !validHexChars(flags) {
 		return TraceContext{}, false
 	}
+	ids := strings.Clone(h[3:52]) // trace ID, "-", span ID
+	tc.TraceID, tc.SpanID = ids[:32], ids[33:]
 	tc.Sampled = flags[1]&1 == 1
 	return tc, true
 }

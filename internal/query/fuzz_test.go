@@ -9,7 +9,8 @@ import (
 // FuzzParse feeds Parse arbitrary text. It must never panic, and every
 // query it accepts must survive a round trip through Text: Parse(q.Text())
 // holds q's predicates and renders the same text again. The service's
-// answer-cache key and its cache snapshot both rely on that.
+// answer-cache key and its cache snapshot both rely on that. Every accepted
+// query also renders byte for byte as the fmt-based oracle does.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"Model like Camry, Price < 10000, Year between 1999 and 2001",
@@ -33,6 +34,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkOracle(t, q)
 		canon := q.Text()
 		back, err := Parse(s, canon)
 		if err != nil {

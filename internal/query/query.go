@@ -10,8 +10,9 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"aimq/internal/relation"
@@ -99,23 +100,37 @@ func (p Predicate) Matches(t relation.Tuple, s *relation.Schema) bool {
 }
 
 // Render formats the predicate under the schema.
-func (p Predicate) Render(s *relation.Schema) string { return p.render(s, ", ") }
+func (p Predicate) Render(s *relation.Schema) string {
+	var buf [64]byte
+	return string(p.appendRender(buf[:0], s, ", "))
+}
 
-// render formats the predicate with in-list values joined by inSep.
-func (p Predicate) render(s *relation.Schema, inSep string) string {
-	name := s.Attr(p.Attr).Name
+// appendRender appends the predicate's text, with in-list values joined by
+// inSep, to dst and returns the extended buffer. String, Text and Render
+// all write through it.
+func (p Predicate) appendRender(dst []byte, s *relation.Schema, inSep string) []byte {
 	typ := s.Type(p.Attr)
-	if p.Op == OpRange {
-		return fmt.Sprintf("%s between %s and %s", name, p.Value.Render(typ), p.Hi.Render(typ))
-	}
-	if p.Op == OpIn {
-		alts := make([]string, len(p.Values))
+	dst = append(dst, s.Attr(p.Attr).Name...)
+	switch p.Op {
+	case OpRange:
+		dst = append(dst, " between "...)
+		dst = p.Value.AppendRender(dst, typ)
+		dst = append(dst, " and "...)
+		return p.Hi.AppendRender(dst, typ)
+	case OpIn:
+		dst = append(dst, " in ("...)
 		for i, v := range p.Values {
-			alts[i] = v.Render(typ)
+			if i > 0 {
+				dst = append(dst, inSep...)
+			}
+			dst = v.AppendRender(dst, typ)
 		}
-		return fmt.Sprintf("%s in (%s)", name, strings.Join(alts, inSep))
+		return append(dst, ')')
 	}
-	return fmt.Sprintf("%s %s %s", name, p.Op, p.Value.Render(typ))
+	dst = append(dst, ' ')
+	dst = append(dst, p.Op.String()...)
+	dst = append(dst, ' ')
+	return p.Value.AppendRender(dst, typ)
 }
 
 // Query is a conjunctive selection over a relation's schema.
@@ -251,24 +266,36 @@ func FromTuple(s *relation.Schema, t relation.Tuple) *Query {
 // In-lists use the parser's "|" separator; the display form String does
 // not round-trip.
 func (q *Query) Text() string {
+	var buf [64]byte
 	parts := make([]string, len(q.Preds))
 	for i, p := range q.Preds {
-		parts[i] = p.render(q.Schema, " | ")
+		parts[i] = string(p.appendRender(buf[:0], q.Schema, " | "))
 	}
-	sort.Strings(parts)
+	slices.Sort(parts)
 	return strings.Join(parts, ", ")
 }
 
 // String renders the query in the paper's notation, e.g.
 // "Q(Model = Camry ∧ Price < 10000)". Predicates print in attribute order
-// for stable output.
+// for stable output (predicates on one attribute keep their query order).
+// A query built by FromTuple, and DropAttrs or ToPrecise of one, is already
+// in that order and renders without a copy or a sort.
 func (q *Query) String() string {
-	preds := make([]Predicate, len(q.Preds))
-	copy(preds, q.Preds)
-	sort.SliceStable(preds, func(i, j int) bool { return preds[i].Attr < preds[j].Attr })
-	parts := make([]string, len(preds))
-	for i, p := range preds {
-		parts[i] = p.Render(q.Schema)
+	preds := q.Preds
+	for i := 1; i < len(preds); i++ {
+		if preds[i].Attr < preds[i-1].Attr {
+			preds = slices.Clone(preds)
+			slices.SortStableFunc(preds, func(a, b Predicate) int { return cmp.Compare(a.Attr, b.Attr) })
+			break
+		}
 	}
-	return "Q(" + strings.Join(parts, " ∧ ") + ")"
+	var stack [256]byte
+	buf := append(stack[:0], "Q("...)
+	for i, p := range preds {
+		if i > 0 {
+			buf = append(buf, " ∧ "...)
+		}
+		buf = p.appendRender(buf, q.Schema, ", ")
+	}
+	return string(append(buf, ')'))
 }

@@ -113,18 +113,45 @@ func appendNum(dst []byte, x float64) []byte {
 	return strconv.AppendFloat(dst, x, 'g', -1, 64)
 }
 
-// Render formats the value for human-facing output.
+// Render formats the value for human-facing output. The bytes are exactly
+// those AppendRender appends.
 func (v Value) Render(t AttrType) string {
 	if v.Null {
 		return "NULL"
 	}
 	if t == Numeric {
-		if v.Num == math.Trunc(v.Num) && math.Abs(v.Num) < 1e15 {
-			return strconv.FormatInt(int64(v.Num), 10)
+		if i, ok := renderInt(v.Num); ok {
+			return strconv.FormatInt(i, 10) // no allocation below 100
 		}
 		return strconv.FormatFloat(v.Num, 'g', -1, 64)
 	}
 	return v.Str
+}
+
+// AppendRender appends the value's human-facing form (see Render) to dst and
+// returns the extended buffer. Callers rendering many values reuse one
+// buffer.
+func (v Value) AppendRender(dst []byte, t AttrType) []byte {
+	if v.Null {
+		return append(dst, "NULL"...)
+	}
+	if t == Numeric {
+		if i, ok := renderInt(v.Num); ok {
+			return strconv.AppendInt(dst, i, 10)
+		}
+		return strconv.AppendFloat(dst, v.Num, 'g', -1, 64)
+	}
+	return append(dst, v.Str...)
+}
+
+// renderInt reports whether x renders as the digits of an integer, and
+// which: an integral x below 1e15 in magnitude does (so -0 renders as 0);
+// any other value takes shortest 'g' formatting.
+func renderInt(x float64) (int64, bool) {
+	if x == math.Trunc(x) && math.Abs(x) < 1e15 {
+		return int64(x), true
+	}
+	return 0, false
 }
 
 // ParseValue parses the string form of a value under the given type. Empty

@@ -112,6 +112,54 @@ func TestRequestIDEchoed(t *testing.T) {
 	}
 }
 
+// TestRequestIDBoundedThroughRouter: a 64 KiB X-Request-ID is replaced by a
+// minted ID, in the response header and as the ID of the trace the ring
+// keeps, on the computed path and on the cached fast path; a normal ID is
+// echoed and kept.
+func TestRequestIDBoundedThroughRouter(t *testing.T) {
+	svc := obsService(t)
+	huge := strings.Repeat("h", 64<<10)
+	get := func(target, id string) string {
+		t.Helper()
+		r := httptest.NewRequest("GET", target, nil)
+		r.Header.Set("X-Request-ID", id)
+		w := httptest.NewRecorder()
+		svc.ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", target, w.Code, w.Body.String())
+		}
+		return w.Header().Get("X-Request-ID")
+	}
+	latestTraceID := func() string {
+		t.Helper()
+		_, out := do(t, svc, "GET", "/debug/traces", "")
+		return out["recent"].([]any)[0].(map[string]any)["id"].(string)
+	}
+
+	const target = "/answer?q=Model+like+Camry&k=3"
+	minted := get(target, huge)
+	if minted == huge || minted == "" || len(minted) > 128 {
+		t.Fatalf("computed path echoed a %d-byte ID, want a minted one", len(minted))
+	}
+	if id := latestTraceID(); id != minted {
+		t.Errorf("ring keeps trace ID of %d bytes, want the minted %q", len(id), minted)
+	}
+	// The same URL again is served by the fast path.
+	if id := get(target, huge); id == huge || id == "" || len(id) > 128 {
+		t.Errorf("fast path echoed a %d-byte ID, want a minted one", len(id))
+	}
+	if id := get(target, "upstream-7"); id != "upstream-7" {
+		t.Errorf("fast path replaced a normal ID: %q", id)
+	}
+
+	if id := get("/answer?q=Model+like+Camry&k=4", "upstream-8"); id != "upstream-8" {
+		t.Errorf("computed path replaced a normal ID: %q", id)
+	}
+	if id := latestTraceID(); id != "upstream-8" {
+		t.Errorf("ring keeps trace ID %q, want the caller's upstream-8", id)
+	}
+}
+
 func TestTraceRingEndpoint(t *testing.T) {
 	svc := obsService(t)
 	for i := 0; i < 3; i++ {

@@ -274,10 +274,7 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet && r.URL.Path == "/answer" && s.tryFastAnswer(w, r) {
 		return
 	}
-	id := r.Header.Get(obs.RequestIDHeader)
-	if id == "" {
-		id = obs.NewRequestID()
-	}
+	id := obs.RequestID(r.Header.Get(obs.RequestIDHeader))
 	w.Header().Set(obs.RequestIDHeader, id)
 	ctx := obs.WithRequestID(r.Context(), id)
 	if tc, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
@@ -324,8 +321,8 @@ func (s *Service) tryFastAnswer(w http.ResponseWriter, r *http.Request) bool {
 	}
 	s.met.cacheHits.Add(1)
 	s.met.requestsOK.Add(1)
-	if id := r.Header.Get("X-Request-ID"); id != "" {
-		w.Header().Set("X-Request-ID", id)
+	if id := r.Header.Get(obs.RequestIDHeader); id != "" {
+		w.Header().Set(obs.RequestIDHeader, obs.RequestID(id))
 	}
 	h := w.Header()
 	h.Set("Etag", ca.etag)
@@ -663,6 +660,7 @@ func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Qu
 	cfg := s.cfg.Engine
 	cfg.K = k
 	cfg.Tsim = tsim
+	text := q.String() // rendered once for the trace and the payload
 	var rec *obs.Recorder
 	sampled := s.ring != nil && s.sampleHit()
 	// An audit writer forces the recorder too: every audited computation
@@ -674,7 +672,7 @@ func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Qu
 		// The recorder adopts the caller's traceparent when one arrived, so
 		// this run — and every source probe it issues — joins the caller's
 		// distributed trace.
-		rec = obs.NewRecorderWith(traceID, q.String(), callerTrace(ctx))
+		rec = obs.NewRecorderWith(traceID, text, callerTrace(ctx))
 		ctx = obs.WithRecorder(ctx, rec)
 	}
 	eng := core.New(s.src, pack.est, pack.relaxer, cfg)
@@ -708,7 +706,7 @@ func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Qu
 	}
 	if err != nil {
 		if res != nil && len(res.Answers) > 0 {
-			p := s.payload(q, res, k, tsim)
+			p := s.payload(q, text, res, k, tsim)
 			if explain {
 				p.Explain = tr
 			}
@@ -717,7 +715,7 @@ func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Qu
 		}
 		return nil, err
 	}
-	p := s.payload(q, res, k, tsim)
+	p := s.payload(q, text, res, k, tsim)
 	if explain {
 		p.Explain = tr
 	}
@@ -726,10 +724,11 @@ func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Qu
 	return p, nil
 }
 
-func (s *Service) payload(q *query.Query, res *core.Result, k int, tsim float64) *answerPayload {
+// payload builds the response body; text is q.String().
+func (s *Service) payload(q *query.Query, text string, res *core.Result, k int, tsim float64) *answerPayload {
 	sc := s.src.Schema()
 	p := &answerPayload{
-		Query:     q.String(),
+		Query:     text,
 		queryText: q.Text(),
 		K:         k,
 		Tsim:      tsim,

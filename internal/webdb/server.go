@@ -116,13 +116,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 	var rec *obs.Recorder
+	var text string // the query's rendering, shared by the trace and its probe
 	if s.ring != nil {
-		id := r.Header.Get(obs.RequestIDHeader)
-		if id == "" {
-			id = obs.NewRequestID()
-		}
+		id := obs.RequestID(r.Header.Get(obs.RequestIDHeader))
 		tc, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-		rec = obs.NewRecorderWith(id, q.String(), tc)
+		text = q.String()
+		rec = obs.NewRecorderWith(id, text, tc)
 		ctx = obs.WithRecorder(obs.WithRequestID(ctx, id), rec)
 		w.Header().Set(obs.RequestIDHeader, id)
 		w.Header().Set("X-Trace-ID", rec.TraceID())
@@ -137,7 +136,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tuples, err := QueryContext(ctx, s.src, q, fetch)
 	if rec.Active() {
 		// The probe record adopts any engine EXPLAIN the source recorded.
-		rec.BaseProbe(q.String(), len(tuples), err != nil)
+		rec.BaseProbe(text, len(tuples), err != nil)
 		rec.SetError(err)
 		defer func() { s.ring.Add(rec.Finish()) }()
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"aimq/internal/obs"
 	"aimq/internal/query"
 	"aimq/internal/relation"
 )
@@ -401,5 +402,42 @@ func TestStatsEndpoint(t *testing.T) {
 	r2.Body.Close()
 	if r2.StatusCode == http.StatusOK {
 		t.Errorf("uncounted server exposed /stats")
+	}
+}
+
+// TestTracedServerBoundsRequestID: a traced /query replaces a 64 KiB
+// X-Request-ID with a minted one, in the response and as the retained
+// trace's ID, and keeps a normal one. The trace and its probe carry the
+// same rendering of the query.
+func TestTracedServerBoundsRequestID(t *testing.T) {
+	srv := NewServer(NewLocal(testRel()))
+	ring := obs.NewRing(8)
+	srv.EnableTracing(ring)
+	for _, c := range []struct{ sent, want string }{
+		{strings.Repeat("h", 64<<10), ""},
+		{"mediator-1", "mediator-1"},
+	} {
+		r := httptest.NewRequest("GET", "/query?Model=Camry&Make=Toyota", nil)
+		r.Header.Set(obs.RequestIDHeader, c.sent)
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+		id := w.Header().Get(obs.RequestIDHeader)
+		switch {
+		case c.want != "" && id != c.want:
+			t.Errorf("normal ID replaced by %q", id)
+		case c.want == "" && (id == c.sent || id == "" || len(id) > 128):
+			t.Errorf("%d-byte ID echoed as %d bytes, want a minted ID", len(c.sent), len(id))
+		}
+		recent, _ := ring.Snapshot()
+		tr := recent[0]
+		if tr.ID != id {
+			t.Errorf("ring keeps trace ID of %d bytes, want the response's %q", len(tr.ID), id)
+		}
+		if want := "Q(Make = Toyota ∧ Model = Camry)"; tr.Query != want || len(tr.BaseProbe) != 1 || tr.BaseProbe[0].Query != want {
+			t.Errorf("trace query %q, probes %+v; want both %q", tr.Query, tr.BaseProbe, want)
+		}
 	}
 }
