@@ -94,13 +94,15 @@ bench-quick:
 # serve path stays under 16 allocs/op (measured ~3), the columnar engine's
 # scan path under 64 (measured ~9 on one CPU: plan + accumulator + result;
 # 13 on two, where unlimited scans fan out), one guided Algorithm 1
-# answer under 2000 (measured ~1,060; 2,888 when every tuple key was
-# rebuilt by string concatenation), and one traced cold answer through the
-# service under 4000 (measured ~2,520; 5,768 when every step's query was
-# rendered through fmt and every step kept its own engine plan).
+# answer under 1000 (measured ~866 at 1, 2 and 4 CPUs with the gate
+# before the tuple key; ~1,060 when every retrieval was keyed into a
+# per-request gate table, 2,888 when every tuple key was rebuilt by string
+# concatenation), and one traced cold answer through the service under
+# 4000 (measured ~2,180; 5,768 when every step's query was rendered
+# through fmt and every step kept its own engine plan).
 bench-check:
 	$(GO) run -ldflags '$(LDFLAGS)' ./cmd/aimq-bench -quick -out bench-results \
-		-baseline bench/baseline -threshold 2 -alloc-gate serve-warm=16,engine-scan=64,guided=2000,serve-cold=4000
+		-baseline bench/baseline -threshold 2 -alloc-gate serve-warm=16,engine-scan=64,guided=1000,serve-cold=4000
 
 baseline:
 	$(GO) run -ldflags '$(LDFLAGS)' ./cmd/aimq-bench -quick -out bench/baseline

@@ -24,7 +24,7 @@ func TestFlagDefaults(t *testing.T) {
 		"audit-sample": "0", "breaker-failures": "5", "breaker-open": "10s", "cache": "1024",
 		"cache-snapshot": "", "cache-ttl": "0s", "data": "", "debug-addr": "", "drain": "10s",
 		"drift-interval": "0s", "drift-psi-warn": "0.25", "drift-sample": "2000",
-		"fail-degrade": "true", "flight-ring": "32", "flight-threshold": "0s", "k": "10",
+		"fail-degrade": "true", "k": "10",
 		"key-prune-max-error": "0", "log-json": "false", "max-k": "100",
 		"max-queries-per-base": "0", "model": "", "model-info": "false", "model-keep": "2",
 		"probe-workers": "1", "prune": "true", "refresh-backoff": "30s",
@@ -35,8 +35,8 @@ func TestFlagDefaults(t *testing.T) {
 		"slow-query": "500ms", "source": "", "terr": "0.15", "timeout": "30s", "trace-ring": "64",
 		"trace-sample": "0", "tsim": "0.5", "version": "false",
 	}
-	if len(want) != 51 {
-		t.Fatalf("table holds %d flags, want 51", len(want))
+	if len(want) != 49 {
+		t.Fatalf("table holds %d flags, want 49", len(want))
 	}
 	cfg := serve.Defaults()
 	fs := flag.NewFlagSet("aimq-serve", flag.ContinueOnError)

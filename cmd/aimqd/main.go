@@ -123,7 +123,7 @@ func handler(src webdb.Source, traceRing int) http.Handler {
 	server.EnableTracing(ring)
 	mux := http.NewServeMux()
 	mux.Handle("/", server)
-	obs.HandleTraces(mux, ring, nil)
+	obs.HandleTraces(mux, ring)
 	return logRequests(mux)
 }
 

@@ -220,46 +220,34 @@ func (e *Engine) AnswerContext(ctx context.Context, q *query.Query) (*Result, er
 	qWeights := e.Est.Ordering.ImportanceWeights(q.BoundAttrs())
 	gateWeights := e.Est.Ordering.ImportanceWeights(all)
 
-	// Each retrieved tuple is keyed once, before its gate, into the reused
-	// buffer kb (relation.AppendTupleKey); the lookup does not allocate, and
-	// the key string is made only for a tuple not seen before. seen records
-	// per key what the tuple became and how the last base tuple to gate it
-	// scored it. ents is Aes: a tuple reached via several base tuples keeps
-	// its best gating similarity.
-	seen := make(map[string]int) // tuple key → index into gates
+	// Aes accumulates answers keyed by tuple content; a tuple reached via
+	// several base tuples keeps its best gating similarity. Only a tuple that
+	// clears the gate is keyed, into the reused buffer kb
+	// (relation.AppendTupleKey); the lookup does not allocate, and the key
+	// string is made only when an answer is inserted.
+	aes := make(map[string]int) // tuple key → index into ents
 	var (
-		gates []gate
-		ents  []entry
-		kb    []byte
+		ents []entry
+		kb   []byte
 	)
-	// lookup keys t and returns its gate record, adding an ungated one for
-	// a tuple not seen before.
-	lookup := func(t relation.Tuple) *gate {
+	// add makes t an answer, or raises the gating similarity of the answer
+	// it already is; it returns the answer's index in ents and whether the
+	// answer is new.
+	add := func(t relation.Tuple, baseSim float64) (int, bool) {
 		kb = relation.AppendTupleKey(kb[:0], sc, t)
-		if i, ok := seen[string(kb)]; ok {
-			return &gates[i]
+		if i, ok := aes[string(kb)]; ok {
+			if baseSim > ents[i].BaseSim {
+				ents[i].BaseSim = baseSim
+			}
+			return i, false
 		}
 		k := string(kb)
-		seen[k] = len(gates)
-		gates = append(gates, gate{key: k, ans: -1, base: -1})
-		return &gates[len(gates)-1]
-	}
-	// answer makes g's tuple an answer, or raises the gating similarity of
-	// the answer it already is; it returns the answer's index in ents and
-	// whether the answer is new.
-	answer := func(g *gate, t relation.Tuple, baseSim float64) (int, bool) {
-		if g.ans >= 0 {
-			if baseSim > ents[g.ans].BaseSim {
-				ents[g.ans].BaseSim = baseSim
-			}
-			return g.ans, false
-		}
-		g.ans = len(ents)
+		aes[k] = len(ents)
 		ents = append(ents, entry{
 			Answer: Answer{Tuple: t, Sim: e.Est.Sim(q, t, qWeights), BaseSim: baseSim, Seq: len(ents)},
-			key:    g.key,
+			key:    k,
 		})
-		return g.ans, true
+		return len(ents) - 1, true
 	}
 
 	// Tracing state: the entries each step retrieved (to credit the step on
@@ -289,7 +277,7 @@ func (e *Engine) AnswerContext(ctx context.Context, q *query.Query) (*Result, er
 		limit = len(base)
 	}
 	for _, t := range base {
-		i, _ := answer(lookup(t), t, 1)
+		i, _ := add(t, 1)
 		ents[i].fromBase = true
 	}
 
@@ -376,16 +364,9 @@ expansion:
 			stepQualified, stepDups := 0, 0
 			stepHits = stepHits[:0]
 			for _, tp := range tuples {
-				g := lookup(tp)
-				if g.base != bi {
-					// Gated under this base tuple for the first time. A
-					// re-retrieval under the same base tuple would score the
-					// same content against the same tuple, so it keeps the
-					// outcome and never raises BaseSim.
-					g.base, g.sim = bi, e.Est.SimTuples(t, tp, gateWeights)
-				}
-				if g.sim > cfg.Tsim {
-					i, isNew := answer(g, tp, g.sim)
+				sim := e.Est.SimTuples(t, tp, gateWeights)
+				if sim > cfg.Tsim {
+					i, isNew := add(tp, sim)
 					if isNew {
 						qualified++
 						stepQualified++
@@ -457,17 +438,6 @@ type entry struct {
 	// foundBy lists the trace indices of every relaxation step that
 	// retrieved the tuple, in issue order; filled only under a recorder.
 	foundBy []int
-}
-
-// gate is what one request knows about a retrieved tuple, by content key.
-type gate struct {
-	key string // relation.AppendTupleKey
-	ans int    // index of the answer the tuple became in ents; -1 for none
-	// base is the last base tuple (index into the base set) whose relaxation
-	// retrieved the tuple, -1 before any, and sim the gating similarity the
-	// tuple scored against it.
-	base int
-	sim  float64
 }
 
 // ranksBefore is the answer order: higher Sim first, ties broken by the

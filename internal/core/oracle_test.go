@@ -315,15 +315,15 @@ func oracleQueries(rel *relation.Relation, n int, seed int64) []*query.Query {
 	return out
 }
 
-// TestRankingMatchesOracle compares the engine's gate table, keyed entries
-// and bounded top-k heap with the old bookkeeping on seeded random
+// TestRankingMatchesOracle compares the engine's gate-then-key Aes, keyed
+// entries and bounded top-k heap with the old bookkeeping on seeded random
 // relations: every answer's tuple, Sim and BaseSim bits and Seq, the work
 // stats and — under a recorder — every step record and each answer's
 // FromBase and found-by steps must be identical. Coverage counters assert
 // the run actually exercised exact-Sim ties broken against numeric order,
 // answers with nulls, answers reached from several base tuples, answers
-// re-retrieved under the same base tuple (not re-scored), and answers
-// whose BaseSim a later base tuple raised.
+// re-retrieved under the same base tuple (counted as duplicate hits), and
+// answers whose BaseSim a later base tuple raised.
 func TestRankingMatchesOracle(t *testing.T) {
 	var ties, keyOrderTies, nulls, multiBase, sameBase, raised int
 	for _, seed := range []int64{1, 2, 3} {

@@ -141,12 +141,6 @@ func New(rel *relation.Relation) *Engine {
 	return &Engine{rel: rel}
 }
 
-// SetWorkers overrides the chunk-evaluation worker count for unlimited
-// scans (0 restores the default min(GOMAXPROCS, 8); 1 forces the
-// serial path). Call before the first query; it is not synchronized with
-// concurrent execution.
-func (e *Engine) SetWorkers(n int) { e.workers = n }
-
 // Relation returns the underlying relation.
 func (e *Engine) Relation() *relation.Relation { return e.rel }
 
@@ -182,26 +176,12 @@ func (e *Engine) effWorkers() int {
 // Imprecise (like) predicates are evaluated as equality: the boolean model
 // cannot do anything else, which is the premise of the paper.
 func (e *Engine) Execute(q *query.Query, limit int) []int {
-	e.buildOnce.Do(e.build)
-	e.stats.Queries.Add(1)
-	start := time.Now()
-	defer func() { e.stats.BusyNanos.Add(time.Since(start).Nanoseconds()) }()
-
-	out, _, scanned, ec := e.runColumnar(q, limit, false, nil)
-	e.stats.TuplesScanned.Add(scanned)
-	e.stats.TuplesReturned.Add(int64(len(out)))
-	e.foldExec(&ec)
-	return out
+	return e.ExecuteExplained(q, limit, nil)
 }
 
 // ExecuteTuples is Execute returning the tuples themselves.
 func (e *Engine) ExecuteTuples(q *query.Query, limit int) []relation.Tuple {
-	pos := e.Execute(q, limit)
-	out := make([]relation.Tuple, len(pos))
-	for i, p := range pos {
-		out[i] = e.rel.Tuple(p)
-	}
-	return out
+	return e.ExecuteTuplesExplained(q, limit, nil)
 }
 
 // Count returns the number of tuples satisfying the query. The result

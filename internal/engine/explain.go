@@ -63,13 +63,10 @@ func (e *Engine) foldExec(ec *execCounters) {
 	}
 }
 
-// ExecuteExplained is Execute that also fills ex with the compiled plan and
-// the per-chunk execution counters — the engine's EXPLAIN ANALYZE, in the
-// form traces carry. A nil ex degrades to plain Execute.
+// ExecuteExplained is Execute that also fills ex, when non-nil, with the
+// compiled plan and the per-chunk execution counters — the engine's EXPLAIN
+// ANALYZE, in the form traces carry.
 func (e *Engine) ExecuteExplained(q *query.Query, limit int, ex *obs.EngineExec) []int {
-	if ex == nil {
-		return e.Execute(q, limit)
-	}
 	e.buildOnce.Do(e.build)
 	e.stats.Queries.Add(1)
 	start := time.Now()
@@ -78,19 +75,21 @@ func (e *Engine) ExecuteExplained(q *query.Query, limit int, ex *obs.EngineExec)
 	e.stats.TuplesScanned.Add(scanned)
 	e.stats.TuplesReturned.Add(int64(len(out)))
 	e.foldExec(&ec)
-	ex.Chunks = e.store.NumChunks()
-	ex.ChunksVisited = ec.chunksVisited
-	ex.ZoneKilled = ec.zoneKilled
-	ex.ZoneSkipped = ec.zoneSkipped
-	ex.PostingEmpty = ec.postingEmpty
-	ex.DenseRows = ec.denseRows
-	ex.SparseChecks = ec.sparseChecks
-	ex.Parallel = ec.parallel
-	ex.Scanned = scanned
-	ex.Matched = len(out)
 	elapsed := time.Since(start)
-	ex.ElapsedUs = float64(elapsed.Nanoseconds()) / 1e3
 	e.stats.BusyNanos.Add(elapsed.Nanoseconds())
+	if ex != nil {
+		ex.Chunks = e.store.NumChunks()
+		ex.ChunksVisited = ec.chunksVisited
+		ex.ZoneKilled = ec.zoneKilled
+		ex.ZoneSkipped = ec.zoneSkipped
+		ex.PostingEmpty = ec.postingEmpty
+		ex.DenseRows = ec.denseRows
+		ex.SparseChecks = ec.sparseChecks
+		ex.Parallel = ec.parallel
+		ex.Scanned = scanned
+		ex.Matched = len(out)
+		ex.ElapsedUs = float64(elapsed.Nanoseconds()) / 1e3
+	}
 	return out
 }
 

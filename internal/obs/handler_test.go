@@ -44,8 +44,8 @@ func exportTracks(t *testing.T, h http.Handler) []string {
 // TestHandleTracesExportIdentity pins the export's identity rule — request
 // ID plus root span ID: traces sharing a request ID and a trace ID (the
 // probes of one mediator request) are distinct tracks, a trace held in both
-// the recent and slowest lists and in the flight recorder exports once,
-// and synthetic traces without a span ID all survive.
+// the recent and slowest lists exports once, and synthetic traces without a
+// span ID all survive.
 func TestHandleTracesExportIdentity(t *testing.T) {
 	start := time.Unix(1700000000, 0)
 	probe := func(span string, ms float64) Trace {
@@ -53,7 +53,6 @@ func TestHandleTracesExportIdentity(t *testing.T) {
 			SpanID: span, Query: "Make=Ford", Start: start, ElapsedMs: ms}
 	}
 	ring := NewRing(8)
-	flight := NewFlight(8, time.Millisecond)
 	for _, tr := range []Trace{
 		probe("00f067aa0ba902b7", 2),
 		probe("b7ad6b7169203331", 3),
@@ -61,10 +60,9 @@ func TestHandleTracesExportIdentity(t *testing.T) {
 		{ID: "drift-2", Query: "[drift] max PSI 0.500 on [Price]", Start: start},
 	} {
 		ring.Add(tr)
-		flight.Offer(tr)
 	}
 	mux := http.NewServeMux()
-	HandleTraces(mux, ring, flight)
+	HandleTraces(mux, ring)
 
 	got := exportTracks(t, mux)
 	want := []string{"drift-2", "drift-1", "req-1", "req-1"}
@@ -76,25 +74,19 @@ func TestHandleTracesExportIdentity(t *testing.T) {
 	mux.ServeHTTP(w, httptest.NewRequest("GET", "/debug/traces", nil))
 	var out struct {
 		Retained int `json:"retained"`
-		Flight   struct {
-			Seen int64 `json:"seen"`
-			Kept int64 `json:"kept"`
-		} `json:"flight"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
 		t.Fatalf("bad /debug/traces JSON: %v", err)
 	}
-	if out.Retained != 4 || out.Flight.Seen != 4 || out.Flight.Kept != 2 {
-		t.Errorf("/debug/traces retained %d, flight seen %d kept %d; want 4, 4, 2",
-			out.Retained, out.Flight.Seen, out.Flight.Kept)
+	if out.Retained != 4 {
+		t.Errorf("/debug/traces retained %d, want 4", out.Retained)
 	}
 }
 
-// TestHandleTracesDisabled: with no ring and no flight recorder both
-// surfaces answer 404.
+// TestHandleTracesDisabled: with no ring both surfaces answer 404.
 func TestHandleTracesDisabled(t *testing.T) {
 	mux := http.NewServeMux()
-	HandleTraces(mux, nil, nil)
+	HandleTraces(mux, nil)
 	for _, path := range []string{"/debug/traces", "/debug/traces/export"} {
 		w := httptest.NewRecorder()
 		mux.ServeHTTP(w, httptest.NewRequest("GET", path, nil))

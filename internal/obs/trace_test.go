@@ -228,52 +228,6 @@ func TestEnginePlansInterned(t *testing.T) {
 	}
 }
 
-func TestFlightRecorder(t *testing.T) {
-	f := NewFlight(4, 100*time.Millisecond)
-	if f.Offer(Trace{ID: "fast", ElapsedMs: 10}) {
-		t.Error("kept a trace under the threshold")
-	}
-	if !f.Offer(Trace{ID: "slow", ElapsedMs: 250}) {
-		t.Error("dropped a trace over the threshold")
-	}
-	if !f.Offer(Trace{ID: "edge", ElapsedMs: 100}) {
-		t.Error("threshold must be inclusive")
-	}
-	seen, kept := f.Stats()
-	if seen != 3 || kept != 2 {
-		t.Errorf("stats = (%d seen, %d kept), want (3, 2)", seen, kept)
-	}
-	recent, slowest := f.Snapshot()
-	if len(recent) != 2 || recent[0].ID != "edge" {
-		t.Errorf("recent = %v, want newest-first [edge slow]", ids(recent))
-	}
-	if len(slowest) != 2 || slowest[0].ID != "slow" {
-		t.Errorf("slowest = %v, want [slow edge]", ids(slowest))
-	}
-	if f.Threshold() != 100*time.Millisecond {
-		t.Errorf("threshold = %v", f.Threshold())
-	}
-}
-
-func TestFlightDisabledAndNil(t *testing.T) {
-	if NewFlight(0, time.Second) != nil || NewFlight(8, 0) != nil {
-		t.Fatal("disabled configurations must return nil")
-	}
-	var f *Flight
-	if f.Offer(Trace{ElapsedMs: 1e9}) {
-		t.Error("nil flight kept a trace")
-	}
-	if seen, kept := f.Stats(); seen != 0 || kept != 0 {
-		t.Error("nil flight reported stats")
-	}
-	if r, s := f.Snapshot(); r != nil || s != nil {
-		t.Error("nil flight returned traces")
-	}
-	if f.Threshold() != 0 {
-		t.Error("nil flight has a threshold")
-	}
-}
-
 // exportTraces is a fixed two-trace fixture: one distributed request with a
 // remote parent and nested spans, one local error trace with no spans.
 func exportTraces() []Trace {

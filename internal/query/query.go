@@ -236,7 +236,7 @@ func (q *Query) ToPrecise() *Query {
 // DropAttrs returns a copy of the query with all predicates on the given
 // attributes removed — the relaxation primitive.
 func (q *Query) DropAttrs(drop relation.AttrSet) *Query {
-	out := &Query{Schema: q.Schema}
+	out := &Query{Schema: q.Schema, Preds: make([]Predicate, 0, len(q.Preds))}
 	for _, p := range q.Preds {
 		if !drop.Has(p.Attr) {
 			out.Preds = append(out.Preds, p)

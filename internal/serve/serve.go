@@ -61,7 +61,7 @@ func Defaults() Config {
 		Service: service.Config{
 			Engine:    core.Config{K: 10, Tsim: 0.5, OnFailure: core.FailDegrade},
 			CacheSize: 1024, RequestTimeout: 30 * time.Second, MaxK: 100,
-			TraceRing: 64, FlightRing: 32, SlowQuery: 500 * time.Millisecond,
+			TraceRing: 64, SlowQuery: 500 * time.Millisecond,
 		},
 		Audit: audit.Config{MaxBytes: 64 << 20},
 		Drift: drift.MonitorConfig{SampleLimit: 2000, PSIWarn: 0.25},
@@ -105,8 +105,6 @@ func (c *Config) Bind(fs *flag.FlagSet) {
 	fs.StringVar(&c.CacheSnapshot, "cache-snapshot", c.CacheSnapshot, "path for the hot-query cache snapshot: warmed from at startup, rewritten at shutdown ('' = disabled)")
 	fs.IntVar(&c.Service.TraceRing, "trace-ring", c.Service.TraceRing, "traces kept by /debug/traces (recent and slowest each; negative disables)")
 	fs.IntVar(&c.Service.TraceSample, "trace-sample", c.Service.TraceSample, "head-sample 1 in N computed answers into the trace ring (<2 = every one)")
-	fs.DurationVar(&c.Service.FlightThreshold, "flight-threshold", c.Service.FlightThreshold, "tail-latency flight recorder: retain any computed answer slower than this, regardless of sampling (0 = off)")
-	fs.IntVar(&c.Service.FlightRing, "flight-ring", c.Service.FlightRing, "traces kept by the flight recorder (recent and slowest each)")
 	fs.DurationVar(&c.Service.SlowQuery, "slow-query", c.Service.SlowQuery, "log answers slower than this at WARN (negative disables)")
 	fs.StringVar(&c.Audit.Path, "audit-log", c.Audit.Path, "durable query audit log path (JSONL wide events; '' = disabled)")
 	fs.IntVar(&c.Audit.SampleRate, "audit-sample", c.Audit.SampleRate, "audit 1 in N computed answers (<2 = every one)")
@@ -322,8 +320,7 @@ func (s *Stack) Run(ctx context.Context) error {
 	}
 
 	logger.Info("answering", "addr", c.Addr, "cache_entries", c.Service.CacheSize, "timeout", c.Service.RequestTimeout,
-		"trace_ring", c.Service.TraceRing, "trace_sample", c.Service.TraceSample,
-		"flight_threshold", c.Service.FlightThreshold, "slow_query", c.Service.SlowQuery)
+		"trace_ring", c.Service.TraceRing, "trace_sample", c.Service.TraceSample, "slow_query", c.Service.SlowQuery)
 	err := s.Service.Run(ctx, c.Addr, c.Drain)
 	if err == nil {
 		logger.Info("drained and stopped")

@@ -83,8 +83,6 @@ func TestBindSetsEveryField(t *testing.T) {
 		{"cache-snapshot", "s.json", func(c Config) any { return c.CacheSnapshot }, "s.json"},
 		{"trace-ring", "15", func(c Config) any { return c.Service.TraceRing }, 15},
 		{"trace-sample", "16", func(c Config) any { return c.Service.TraceSample }, 16},
-		{"flight-threshold", "17ms", func(c Config) any { return c.Service.FlightThreshold }, 17 * time.Millisecond},
-		{"flight-ring", "18", func(c Config) any { return c.Service.FlightRing }, 18},
 		{"slow-query", "19ms", func(c Config) any { return c.Service.SlowQuery }, 19 * time.Millisecond},
 		{"audit-log", "a.jsonl", func(c Config) any { return c.Audit.Path }, "a.jsonl"},
 		{"audit-log", "a.jsonl", func(c Config) any { return c.Lifecycle.AuditPath }, "a.jsonl"},

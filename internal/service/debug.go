@@ -34,8 +34,7 @@ func (s *Service) engine() *engine.Engine {
 // separate (private) listener — the -debug-addr flag of the binaries:
 //
 //	/debug/          index of everything below
-//	/debug/traces    the trace ring (recent + slowest answer traces) and
-//	                 the tail-latency flight recorder, when armed
+//	/debug/traces    the trace ring (recent + slowest answer traces)
 //	/debug/traces/export   the same traces as Chrome trace-event JSON,
 //	                 loadable in Perfetto / chrome://tracing
 //	/debug/learn     offline-phase profile of the served model
@@ -47,7 +46,7 @@ func (s *Service) engine() *engine.Engine {
 // contents — keep the listener off public interfaces.
 func (s *Service) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
-	obs.HandleTraces(mux, s.ring, s.fdr)
+	obs.HandleTraces(mux, s.ring)
 	mux.HandleFunc("GET /debug/learn", s.handleLearn)
 	mux.HandleFunc("GET /debug/drift", s.handleDrift)
 	mux.HandleFunc("GET /debug/source", s.handleSource)
@@ -67,7 +66,7 @@ func (s *Service) DebugHandler() http.Handler {
 func (s *Service) handleDebugIndex(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "aimq debug surface (uptime %s)\n\n", time.Since(s.start).Round(time.Second))
-	fmt.Fprintln(w, "/debug/traces   recent and slowest answer traces (+ flight recorder)")
+	fmt.Fprintln(w, "/debug/traces   recent and slowest answer traces")
 	fmt.Fprintln(w, "/debug/traces/export   retained traces as Chrome trace-event JSON (Perfetto)")
 	fmt.Fprintln(w, "/debug/learn    offline learning-phase profile + model identity")
 	fmt.Fprintln(w, "/debug/drift    model-drift monitor status (PSI per attribute)")

@@ -81,16 +81,10 @@ type Config struct {
 	// TraceSample head-samples computed (uncached) requests into the trace
 	// ring: 1 in every TraceSample runs is traced. Default (and anything
 	// below 2) traces every computed request, matching historical behavior.
-	// Explain requests are always traced, and the flight recorder sees every
-	// run regardless of sampling, so tail latencies cannot be sampled away.
+	// Explain requests are always traced. Sampling cuts trace cost but can
+	// skip the tail; at the default every computed run is traced, and the
+	// ring's slowest list keeps the worst ones whole.
 	TraceSample int
-	// FlightThreshold arms the tail-latency flight recorder: any computed
-	// answer slower than this is retained in a dedicated ring, even when head
-	// sampling skipped it. 0 disables the recorder.
-	FlightThreshold time.Duration
-	// FlightRing is the flight recorder's capacity per list (recent/slowest).
-	// Default 32 when FlightThreshold is set.
-	FlightRing int
 	// SlowQuery is the computation-time threshold above which an answer is
 	// logged at WARN and counted in aimq_service_slow_queries_total.
 	// Default 500ms; negative disables the slow-query log.
@@ -121,9 +115,6 @@ func (c Config) withDefaults() Config {
 	if c.SlowQuery == 0 {
 		c.SlowQuery = 500 * time.Millisecond
 	}
-	if c.FlightRing == 0 {
-		c.FlightRing = 32
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
@@ -149,10 +140,6 @@ type Service struct {
 	mux    *http.ServeMux
 	start  time.Time
 	ring   *obs.Ring
-	// fdr is the tail-latency flight recorder (nil when FlightThreshold is
-	// unset): it sees every computed run and retains the ones breaching the
-	// threshold, independent of head sampling.
-	fdr *obs.Flight
 	// sampleSeq drives 1-in-TraceSample head sampling of ring traces.
 	sampleSeq atomic.Uint64
 	log       *slog.Logger
@@ -203,7 +190,6 @@ func New(src webdb.Source, est *similarity.Estimator, relaxer core.Relaxer, cfg 
 		ringCap = 0
 	}
 	s.ring = obs.NewRing(ringCap)
-	s.fdr = obs.NewFlight(s.cfg.FlightRing, s.cfg.FlightThreshold)
 	s.log = s.cfg.Logger
 	s.audit = s.cfg.Audit
 	s.mux = http.NewServeMux()
@@ -212,7 +198,7 @@ func New(src webdb.Source, est *similarity.Estimator, relaxer core.Relaxer, cfg 
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/drift", s.handleDrift)
-	obs.HandleTraces(s.mux, s.ring, s.fdr)
+	obs.HandleTraces(s.mux, s.ring)
 	return s
 }
 
@@ -641,21 +627,18 @@ func (s *Service) bounds(req *answerRequest) (int, float64, error) {
 	return k, tsim, nil
 }
 
-// compute runs one relaxation pass. On a context error it returns the
-// partial payload (when the engine salvaged any answers) together with the
-// error; partial payloads are never cached.
+// computeWith runs one relaxation pass against an explicit engine pack, so
+// a request (or a cache-warming pass) runs entirely on the model it loaded,
+// even if a promote swaps the serving pack mid-computation. On a context
+// error it returns the partial payload (when the engine salvaged any
+// answers) together with the error; partial payloads are never cached.
 //
-// The run is traced whenever the trace ring is enabled or the client asked
-// for an explanation; the finished trace feeds the ring, the per-stage
-// histograms and the slow-query log, and — for explain requests — rides on
-// the payload itself.
-func (s *Service) compute(ctx context.Context, q *query.Query, k int, tsim float64, traceID string, explain bool) (*answerPayload, error) {
-	return s.computeWith(ctx, s.currentPack(), q, k, tsim, traceID, explain)
-}
-
-// computeWith is compute against an explicit engine pack, so a request (or a
-// cache-warming pass) runs entirely on the model it loaded, even if a
-// promote swaps the serving pack mid-computation.
+// The run is traced when the client asked for an explanation or when it
+// falls in the trace ring's head sample. An attached audit log forces the
+// recorder too, so every audited computation carries a trace ID and
+// relaxation-depth provenance. The finished trace feeds the per-stage
+// histograms and the slow-query log; a sampled or explain trace also feeds
+// the ring, and an explain trace rides on the payload itself.
 func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Query, k int, tsim float64, traceID string, explain bool) (*answerPayload, error) {
 	cfg := s.cfg.Engine
 	cfg.K = k
@@ -663,9 +646,7 @@ func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Qu
 	text := q.String() // rendered once for the trace and the payload
 	var rec *obs.Recorder
 	sampled := s.ring != nil && s.sampleHit()
-	// An audit writer forces the recorder too: every audited computation
-	// then carries a trace ID and relaxation-depth provenance.
-	if explain || sampled || s.fdr != nil || s.audit != nil {
+	if explain || sampled || s.audit != nil {
 		if traceID == "" {
 			traceID = obs.NewRequestID()
 		}
@@ -688,9 +669,6 @@ func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Qu
 		if explain || sampled {
 			s.ring.Add(t)
 		}
-		// The flight recorder sees every traced run; it retains only the
-		// tail-latency breaches (nil-safe no-op when disabled).
-		s.fdr.Offer(t)
 		s.met.observeQuality(&t)
 		for name, d := range rec.SpanDurations() {
 			s.met.stages.Observe(name, d.Seconds())

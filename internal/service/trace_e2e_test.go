@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"aimq/internal/obs"
 	"aimq/internal/webdb"
@@ -98,7 +97,7 @@ func TestCrossProcessTracePropagation(t *testing.T) {
 }
 
 // TestWarmPathTracingOffAllocs pins the serve-warm allocation budget with
-// tracing fully disabled (no ring, no flight recorder): the observability
+// tracing fully disabled (no ring): the observability
 // layer must cost nothing when off. The 16-alloc bar matches the Makefile's
 // serve-warm gate.
 func TestWarmPathTracingOffAllocs(t *testing.T) {
@@ -168,76 +167,8 @@ func TestTraceSampling(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderCapturesTail arms the flight recorder with a 1ns
-// threshold (every computed answer breaches) while the ring is disabled:
-// tail traces must be captured even when head sampling keeps nothing.
-func TestFlightRecorderCapturesTail(t *testing.T) {
-	rel := testDB(600, 3)
-	svc := newService(t, rel, nil, Config{
-		SlowQuery:       -1,
-		TraceRing:       -1,
-		FlightThreshold: time.Nanosecond,
-		FlightRing:      8,
-	})
-
-	for _, m := range []string{"Camry", "Civic"} {
-		if code, out := do(t, svc, "GET", "/answer?q=Model+like+"+m, ""); code != http.StatusOK {
-			t.Fatalf("status %d: %v", code, out)
-		}
-	}
-	code, out := do(t, svc, "GET", "/debug/traces", "")
-	if code != http.StatusOK {
-		t.Fatalf("flight-only /debug/traces must serve, got %d: %v", code, out)
-	}
-	if ring, ok := out["recent"].([]any); ok && len(ring) != 0 {
-		t.Errorf("ring disabled but %d ring traces present", len(ring))
-	}
-	flight, ok := out["flight"].(map[string]any)
-	if !ok {
-		t.Fatalf("no flight section: %v", out)
-	}
-	if th := flight["threshold_ms"].(float64); th != 1e-6 {
-		t.Errorf("flight threshold_ms = %v for a 1ns threshold, want 1e-6 (milliseconds, not ns)", th)
-	}
-	if seen := flight["seen"].(float64); seen != 2 {
-		t.Errorf("flight saw %v computed answers, want 2", seen)
-	}
-	if kept := flight["kept"].(float64); kept != 2 {
-		t.Errorf("flight kept %v, want 2 (1ns threshold)", kept)
-	}
-	if got := len(flight["recent"].([]any)); got != 2 {
-		t.Errorf("flight retained %d traces, want 2", got)
-	}
-
-	// The retained tail traces flow into the Perfetto export too.
-	r := httptest.NewRequest("GET", "/debug/traces/export", nil)
-	w := httptest.NewRecorder()
-	svc.ServeHTTP(w, r)
-	if w.Code != http.StatusOK {
-		t.Fatalf("export status %d: %s", w.Code, w.Body.String())
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("export is not valid trace-event JSON: %v", err)
-	}
-	var roots int
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph == "X" && ev.Name == "request" {
-			roots++
-		}
-	}
-	if roots != 2 {
-		t.Errorf("export has %d request slices, want 2", roots)
-	}
-}
-
-// TestTracesExportDisabled: with both the ring and the flight recorder off,
-// the export endpoint 404s like /debug/traces does.
+// TestTracesExportDisabled: with the ring off, the export endpoint 404s
+// like /debug/traces does.
 func TestTracesExportDisabled(t *testing.T) {
 	rel := testDB(200, 3)
 	svc := newService(t, rel, nil, Config{SlowQuery: -1, TraceRing: -1})

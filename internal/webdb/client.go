@@ -23,14 +23,6 @@ type Client struct {
 	http   *http.Client
 	schema *relation.Schema
 
-	// Retries is the number of additional attempts per request after a
-	// retryable failure — transport errors, 5xx, 429 (autonomous sources
-	// flake). Default 0.
-	Retries int
-	// Retry overrides the retry policy entirely. When nil, a policy with
-	// Retries+1 attempts and fast backoff (25ms base, 250ms cap) is used,
-	// so the historical Retries knob keeps working.
-	Retry *RetryPolicy
 	// PageSize is the page requested when the caller asks for unlimited
 	// results: the client walks pages until the server reports the result
 	// complete. Default 500.
@@ -173,39 +165,13 @@ func (c *Client) queryPage(ctx context.Context, q *query.Query, limit, offset in
 	return tuples, rj.Complete, nil
 }
 
-// get fetches u under the client's retry policy: transport errors, 5xx and
-// 429 are retried with jittered backoff (honoring Retry-After), other
-// non-200 statuses are terminal. Non-200 responses surface as *StatusError
-// so wrappers like Resilient classify them the same way.
+// get performs one HTTP attempt; retrying is Resilient's job. Non-200
+// responses surface as *StatusError, Retry-After included, so Resilient
+// classifies them. The request carries the caller's X-Request-ID, and —
+// when a trace recorder is active — a source_http span plus a traceparent
+// header naming it, so the remote source's own traces join this trace
+// (each of Resilient's attempts is its own span).
 func (c *Client) get(ctx context.Context, u string) ([]byte, error) {
-	policy := c.retryPolicy()
-	var body []byte
-	_, err := policy.Do(ctx, func(ctx context.Context) error {
-		b, err := c.getOnce(ctx, u)
-		if err == nil {
-			body = b
-		}
-		return err
-	})
-	return body, err
-}
-
-func (c *Client) retryPolicy() RetryPolicy {
-	if c.Retry != nil {
-		return *c.Retry
-	}
-	return RetryPolicy{
-		MaxAttempts: c.Retries + 1,
-		BaseDelay:   25 * time.Millisecond,
-		MaxDelay:    250 * time.Millisecond,
-	}
-}
-
-// getOnce performs a single HTTP attempt. The request carries the caller's
-// X-Request-ID, and — when a trace recorder is active — a source_http span
-// plus a traceparent header naming it, so the remote source's own traces
-// join this trace (each retry attempt is its own span).
-func (c *Client) getOnce(ctx context.Context, u string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return nil, err

@@ -36,14 +36,24 @@ func toyotaQuery(c *Client) *query.Query {
 	return query.New(c.Schema()).Where("Make", query.OpEq, relation.Cat("Toyota"))
 }
 
-func TestClientRetries5xx(t *testing.T) {
-	srv, calls := flakyQueryServer(t, http.StatusServiceUnavailable, 2, "")
+// resilientClient connects to srv and wraps the client in Resilient with
+// three attempts and microsecond backoff: the client makes one attempt per
+// request, and Resilient is the only retry layer.
+func resilientClient(t *testing.T, srv *httptest.Server) (*Client, *Resilient) {
+	t.Helper()
 	c, err := NewClient(srv.URL, srv.Client())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Retry = &RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond}
-	got, err := c.Query(toyotaQuery(c), 0)
+	return c, NewResilient(c, ResilientConfig{
+		Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond},
+	})
+}
+
+func TestClientRetries5xx(t *testing.T) {
+	srv, calls := flakyQueryServer(t, http.StatusServiceUnavailable, 2, "")
+	c, r := resilientClient(t, srv)
+	got, err := r.Query(toyotaQuery(c), 0)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("Query through 2×503 = %d tuples, %v; want success on the third attempt", len(got), err)
 	}
@@ -54,12 +64,8 @@ func TestClientRetries5xx(t *testing.T) {
 
 func TestClientRetries429WithRetryAfter(t *testing.T) {
 	srv, calls := flakyQueryServer(t, http.StatusTooManyRequests, 1, "0")
-	c, err := NewClient(srv.URL, srv.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Retries = 1 // legacy knob routes through the shared policy
-	if got, err := c.Query(toyotaQuery(c), 0); err != nil || len(got) != 2 {
+	c, r := resilientClient(t, srv)
+	if got, err := r.Query(toyotaQuery(c), 0); err != nil || len(got) != 2 {
 		t.Fatalf("Query through one 429 = %d tuples, %v", len(got), err)
 	}
 	if n := calls.Load(); n != 2 {
@@ -69,12 +75,8 @@ func TestClientRetries429WithRetryAfter(t *testing.T) {
 
 func TestClientTerminal4xxNotRetried(t *testing.T) {
 	srv, calls := flakyQueryServer(t, http.StatusBadRequest, 100, "")
-	c, err := NewClient(srv.URL, srv.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Retries = 3
-	_, err = c.Query(toyotaQuery(c), 0)
+	c, r := resilientClient(t, srv)
+	_, err := r.Query(toyotaQuery(c), 0)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("err = %v, want a 400 StatusError", err)
@@ -90,7 +92,7 @@ func TestStatusErrorSurfacesRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Query(toyotaQuery(c), 0) // Retries 0: single attempt
+	_, err = c.Query(toyotaQuery(c), 0) // the client's single attempt
 	var se *StatusError
 	if !errors.As(err, &se) || se.RetryAfter != 7*time.Second {
 		t.Fatalf("err = %v, want StatusError carrying Retry-After 7s", err)

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"aimq/internal/obs"
 	"aimq/internal/query"
@@ -182,6 +183,8 @@ func TestClientAgainstDeadServer(t *testing.T) {
 	}
 }
 
+// TestClientRetries: the client makes one attempt per request, so a
+// hijacked connection fails it; Resilient's retry recovers the request.
 func TestClientRetries(t *testing.T) {
 	inner := httptest.NewServer(NewServer(NewLocal(testRel())))
 	defer inner.Close()
@@ -223,13 +226,12 @@ func TestClientRetries(t *testing.T) {
 	}
 	c.base = proxy.URL
 	c.http = proxy.Client()
-	c.Retries = 0
 	if _, err := c.Query(query.New(c.Schema()), 1); err == nil {
-		t.Fatalf("flaky proxy did not fail without retries")
+		t.Fatalf("flaky proxy did not fail the client's single attempt")
 	}
-	c.Retries = 2
-	if _, err := c.Query(query.New(c.Schema()), 1); err != nil {
-		t.Errorf("retrying client failed: %v", err)
+	r := NewResilient(c, ResilientConfig{Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond}})
+	if _, err := r.Query(query.New(c.Schema()), 1); err != nil {
+		t.Errorf("retry through Resilient failed: %v", err)
 	}
 }
 
