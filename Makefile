@@ -7,8 +7,8 @@
 #                      chunked pair sweep, the learn pipeline's workers,
 #                      aimq-serve's stack builder)
 #   make fuzz        — fuzz the query parser, the columnar engine against
-#                      its legacy oracle, then the traceparent parser, each
-#                      for a short fixed time
+#                      its legacy oracle, the traceparent parser, then the
+#                      CSV relation reader, each for a short fixed time
 #   make perfbench   — vet and test the end-to-end benchmark module
 #   make bench-serve — serving-path benchmarks (cache hit vs miss)
 #   make bench-learn — offline learn-phase scenarios only (probe→mine→order
@@ -60,13 +60,16 @@ race:
 # small relations with -0, NaN and NULL numerics, conjunctions and limits,
 # and holds both columnar paths (chunks and the exact-value walk) to the
 # legacy row oracle. FuzzParseTraceparent feeds the W3C traceparent parser
-# that every traced request reads from its caller. A crasher the fuzzer
-# finds lands in the package's testdata/fuzz/ and then runs with every
-# go test.
+# that every traced request reads from its caller. FuzzReadCSV feeds the
+# relation reader every -data file goes through: it must never panic, and
+# what it accepts must write, read and write again to the same bytes. A
+# crasher the fuzzer finds lands in the package's testdata/fuzz/ and then
+# runs with every go test.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnarVsLegacy$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/relation
 
 # perfbench is its own module (replace aimq => ../), so the root go test
 # never compiles it; this keeps it building against the service API.
@@ -94,12 +97,12 @@ bench-quick:
 # serve path stays under 16 allocs/op (measured ~3), the columnar engine's
 # scan path under 64 (measured ~9 on one CPU: plan + accumulator + result;
 # 13 on two, where unlimited scans fan out), one guided Algorithm 1
-# answer under 1000 (measured ~866 at 1, 2 and 4 CPUs with the gate
-# before the tuple key; ~1,060 when every retrieval was keyed into a
-# per-request gate table, 2,888 when every tuple key was rebuilt by string
-# concatenation), and one traced cold answer through the service under
-# 4000 (measured ~2,180; 5,768 when every step's query was rendered
-# through fmt and every step kept its own engine plan).
+# answer under 1000 (measured ~830 at 1, 2 and 4 CPUs with a pooled
+# answer table; ~866 without the pool, ~1,060 when every retrieval was
+# keyed into a per-request gate table, 2,888 when every tuple key was
+# rebuilt by string concatenation), and one traced cold answer through
+# the service under 4000 (measured ~2,165; 5,768 when every step's query
+# was rendered through fmt and every step kept its own engine plan).
 bench-check:
 	$(GO) run -ldflags '$(LDFLAGS)' ./cmd/aimq-bench -quick -out bench-results \
 		-baseline bench/baseline -threshold 2 -alloc-gate serve-warm=16,engine-scan=64,guided=1000,serve-cold=4000

@@ -216,49 +216,33 @@ func (e *Engine) AnswerContext(ctx context.Context, q *query.Query) (*Result, er
 		all = all.Add(a)
 	}
 	// Importance weights, computed once per request: the query's for
-	// ranking by Sim(Q,·), all attributes' for the Tsim gate.
-	qWeights := e.Est.Ordering.ImportanceWeights(q.BoundAttrs())
+	// ranking by Sim(Q,·), all attributes' for the Tsim gate. The Sim(Q,·)
+	// scorer reads the query's VSim rows once per request.
+	qs := e.Est.PrepareQuery(q, e.Est.Ordering.ImportanceWeights(q.BoundAttrs()))
 	gateWeights := e.Est.Ordering.ImportanceWeights(all)
 
 	// Aes accumulates answers keyed by tuple content; a tuple reached via
 	// several base tuples keeps its best gating similarity. Only a tuple that
-	// clears the gate is keyed, into the reused buffer kb
-	// (relation.AppendTupleKey); the lookup does not allocate, and the key
-	// string is made only when an answer is inserted.
-	aes := make(map[string]int) // tuple key → index into ents
-	var (
-		ents []entry
-		kb   []byte
-	)
+	// clears the gate is hashed and looked up; the table is pooled, so the
+	// lookup and insert allocate only when the table outgrows its last use.
+	as := newAesTable(sc)
+	defer as.release()
 	// add makes t an answer, or raises the gating similarity of the answer
-	// it already is; it returns the answer's index in ents and whether the
-	// answer is new.
+	// it already is; it returns the answer's index in as.ents and whether
+	// the answer is new.
 	add := func(t relation.Tuple, baseSim float64) (int, bool) {
-		kb = relation.AppendTupleKey(kb[:0], sc, t)
-		if i, ok := aes[string(kb)]; ok {
-			if baseSim > ents[i].BaseSim {
-				ents[i].BaseSim = baseSim
-			}
-			return i, false
+		i, isNew := as.add(relation.HashTuple(sc, t), t, baseSim)
+		if isNew {
+			as.ents[i].Sim = qs.Score(t)
 		}
-		k := string(kb)
-		aes[k] = len(ents)
-		ents = append(ents, entry{
-			Answer: Answer{Tuple: t, Sim: e.Est.Sim(q, t, qWeights), BaseSim: baseSim, Seq: len(ents)},
-			key:    k,
-		})
-		return len(ents) - 1, true
+		return i, isNew
 	}
 
-	// Tracing state: the entries each step retrieved (to credit the step on
-	// them once the recorder has numbered it), and each distinct dropped
-	// set's rendered attribute list — the schedule repeats the same drop
-	// sets for every base tuple, so their records share one slice. Only
-	// materialized when a recorder is installed.
-	var (
-		stepHits []int
-		dropped  map[relation.AttrSet][]obs.DroppedAttr
-	)
+	// Tracing state: each distinct dropped set's rendered attribute list —
+	// the schedule repeats the same drop sets for every base tuple, so their
+	// records share one slice. Only materialized when a recorder is
+	// installed.
+	var dropped map[relation.AttrSet][]obs.DroppedAttr
 	droppedFor := func(drop relation.AttrSet) []obs.DroppedAttr {
 		d, ok := dropped[drop]
 		if !ok {
@@ -278,21 +262,24 @@ func (e *Engine) AnswerContext(ctx context.Context, q *query.Query) (*Result, er
 	}
 	for _, t := range base {
 		i, _ := add(t, 1)
-		ents[i].fromBase = true
+		as.ents[i].fromBase = true
 	}
 
 	// Steps 2–8: relax each base tuple's fully-bound query.
-	qualified := len(ents)
+	qualified := len(as.ents)
 	spRelax := rec.StartSpan("relax")
 expansion:
 	for bi, t := range base[:limit] {
 		tq := query.FromTuple(sc, t)
 		bound := tq.BoundAttrs()
 		issued := 0
+		// The gate scorer reads the base tuple's VSim rows once; the prune
+		// caps read the same rows.
+		gate := e.Est.PrepareTuple(t, gateWeights)
 		var pb pruneBound
 		pruning := !cfg.DisablePruning && e.Est.Ordering != nil
 		if pruning {
-			pb = e.pruneBoundFor(t, bound, gateWeights, sc, cfg.KeyPruneMaxError)
+			pb = e.pruneBoundFor(gate, bound, sc, cfg.KeyPruneMaxError)
 		}
 		for _, drop := range e.Relaxer.Schedule(bound) {
 			if ctx.Err() != nil || (cfg.TargetRelevant > 0 && qualified >= cfg.TargetRelevant) {
@@ -362,9 +349,9 @@ expansion:
 			}
 			res.Work.TuplesExtracted += len(tuples)
 			stepQualified, stepDups := 0, 0
-			stepHits = stepHits[:0]
+			stepFound := len(as.found)
 			for _, tp := range tuples {
-				sim := e.Est.SimTuples(t, tp, gateWeights)
+				sim := gate.Score(tp)
 				if sim > cfg.Tsim {
 					i, isNew := add(tp, sim)
 					if isNew {
@@ -374,7 +361,7 @@ expansion:
 						stepDups++
 					}
 					if rec.Active() {
-						stepHits = append(stepHits, i)
+						as.found = append(as.found, foundBy{entry: int32(i)})
 					}
 				}
 			}
@@ -388,8 +375,8 @@ expansion:
 					DupHits:   stepDups,
 					ElapsedMs: float64(rec.Since()-stepStart) / 1e6,
 				})
-				for _, i := range stepHits {
-					ents[i].foundBy = append(ents[i].foundBy, idx)
+				for i := range as.found[stepFound:] {
+					as.found[stepFound+i].step = int32(idx)
 				}
 			}
 		}
@@ -399,7 +386,7 @@ expansion:
 
 	// Step 9: rank by similarity to Q and return top-k.
 	spRank := rec.StartSpan("rank")
-	top := topK(ents, cfg.K)
+	top := as.topK(cfg.K)
 	res.Answers = make([]Answer, len(top))
 	for i, a := range top {
 		res.Answers[i] = a.Answer
@@ -407,6 +394,7 @@ expansion:
 	if rec.Active() {
 		// Decompose each returned answer's Sim(Q,t) into per-attribute
 		// weight × similarity terms and attach the steps that retrieved it.
+		steps := as.foundSteps(top)
 		for i, a := range top {
 			_, contribs := e.Est.SimExplain(q, a.Tuple)
 			rec.AddAnswer(obs.AnswerExplain{
@@ -415,7 +403,7 @@ expansion:
 				BaseSim:  a.BaseSim,
 				Contribs: contribs,
 				FromBase: a.fromBase,
-				Steps:    a.foundBy,
+				Steps:    steps[i],
 			})
 		}
 	}
@@ -424,78 +412,6 @@ expansion:
 	// A cancelled context surfaces here, after ranking: the partial answer
 	// set is still returned.
 	return res, ctx.Err()
-}
-
-// entry is one answer under construction in Aes, with the bookkeeping
-// Algorithm 1 keeps beside it.
-type entry struct {
-	Answer
-	// key is the tuple's canonical content key (relation.AppendTupleKey):
-	// its identity in Aes and the rank tie-break.
-	key string
-	// fromBase marks tuples retrieved by the precise base query itself.
-	fromBase bool
-	// foundBy lists the trace indices of every relaxation step that
-	// retrieved the tuple, in issue order; filled only under a recorder.
-	foundBy []int
-}
-
-// ranksBefore is the answer order: higher Sim first, ties broken by the
-// smaller tuple key. Keys are unique within Aes, so the order is total and
-// the top k do not depend on insertion order.
-func ranksBefore(a, b *entry) bool {
-	if a.Sim != b.Sim {
-		return a.Sim > b.Sim
-	}
-	return a.key < b.key
-}
-
-// topK returns the k best entries under ranksBefore, best first. It keeps a
-// bounded heap of at most min(k, len(ents)) candidates, rooted at the worst
-// one kept, so each further entry costs one comparison unless it displaces
-// the root.
-func topK(ents []entry, k int) []*entry {
-	n := min(k, len(ents))
-	if n <= 0 {
-		return nil
-	}
-	h := make([]*entry, n)
-	for i := range h {
-		h[i] = &ents[i]
-	}
-	for j := n/2 - 1; j >= 0; j-- {
-		siftWorst(h, j)
-	}
-	for i := n; i < len(ents); i++ {
-		if a := &ents[i]; ranksBefore(a, h[0]) {
-			h[0] = a
-			siftWorst(h, 0)
-		}
-	}
-	// Heapsort: move the worst remaining entry to the back until the slice
-	// runs best first.
-	for end := n - 1; end > 0; end-- {
-		h[0], h[end] = h[end], h[0]
-		siftWorst(h[:end], 0)
-	}
-	return h
-}
-
-// siftWorst restores the heap below j: every entry ranks before its parent.
-func siftWorst(h []*entry, j int) {
-	for {
-		w := j
-		for _, c := range [2]int{2*j + 1, 2*j + 2} {
-			if c < len(h) && ranksBefore(h[w], h[c]) {
-				w = c
-			}
-		}
-		if w == j {
-			return
-		}
-		h[j], h[w] = h[w], h[j]
-		j = w
-	}
 }
 
 // pruneEps is the float-safety margin of the Sim-bound prune: a step is
@@ -525,20 +441,20 @@ type pruneBound struct {
 	keyed bool
 }
 
-// pruneBoundFor precomputes the prune state for one base tuple under the
-// all-attribute gate weights.
-func (e *Engine) pruneBoundFor(t relation.Tuple, bound relation.AttrSet, weights []float64, sc *relation.Schema, keyMaxErr float64) pruneBound {
+// pruneBoundFor precomputes the prune state for one base tuple from its gate
+// scorer (all-attribute gate weights; the caps read the scorer's VSim rows).
+func (e *Engine) pruneBoundFor(gate *similarity.TupleScorer, bound relation.AttrSet, sc *relation.Schema, keyMaxErr float64) pruneBound {
 	pb := pruneBound{penalty: make([]float64, sc.Arity())}
 	if bk := e.Est.Ordering.BestKey; !bk.Attrs.Empty() && bk.Error <= keyMaxErr && bound.Contains(bk.Attrs) {
 		pb.key = bk.Attrs
 		pb.keyed = true
 	}
 	for _, a := range bound.Members() {
-		w := weights[a]
+		w := gate.Weight(a)
 		pb.boundSum += w
 		cap := 1.0
 		if sc.Type(a) == relation.Categorical {
-			cap = e.Est.MaxVSim(a, t[a].Str)
+			cap = gate.MaxVSim(a)
 		}
 		pb.penalty[a] = w * (1 - cap)
 	}

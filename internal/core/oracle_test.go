@@ -118,7 +118,7 @@ expansion:
 		var pb pruneBound
 		pruning := !cfg.DisablePruning && e.Est.Ordering != nil
 		if pruning {
-			pb = e.pruneBoundFor(t, bound, e.Est.Ordering.ImportanceWeights(all), sc, cfg.KeyPruneMaxError)
+			pb = e.pruneBoundFor(e.Est.PrepareTuple(t, e.Est.Ordering.ImportanceWeights(all)), bound, sc, cfg.KeyPruneMaxError)
 		}
 		for _, drop := range e.Relaxer.Schedule(bound) {
 			if ctx.Err() != nil || (cfg.TargetRelevant > 0 && qualified >= cfg.TargetRelevant) {
@@ -437,7 +437,7 @@ func TestSeparatorBytesKeepAnswersApart(t *testing.T) {
 // TestHugeKAllocatesPerAnswer pins that the top-k heap is sized by the
 // answers found, not by Config.K.
 func TestHugeKAllocatesPerAnswer(t *testing.T) {
-	if top := topK(make([]entry, 3), 1<<30); cap(top) != 3 {
+	if top := (&aesTable{ents: make([]entry, 3)}).topK(1 << 30); cap(top) != 3 {
 		t.Errorf("topK over 3 entries with k=1<<30 has capacity %d", cap(top))
 	}
 	rel := oracleDB(400, 1)

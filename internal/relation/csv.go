@@ -71,6 +71,14 @@ func ReadCSV(rd io.Reader) (*Relation, error) {
 		return nil, err
 	}
 	rel := New(schema)
+	// interned[i] holds one copy of each distinct value of attribute i. A
+	// record's fields are substrings of one line-sized string, so keeping a
+	// field would keep its whole line alive; the copy keeps only the value,
+	// once per attribute however many rows repeat it.
+	interned := make([]map[string]string, schema.Arity())
+	for i := range interned {
+		interned[i] = make(map[string]string)
+	}
 	for line := 3; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -84,6 +92,14 @@ func ReadCSV(rd io.Reader) (*Relation, error) {
 			v, err := ParseValue(field, schema.Type(i))
 			if err != nil {
 				return nil, fmt.Errorf("csv line %d, attribute %s: %w", line, names[i], err)
+			}
+			if !v.Null && schema.Type(i) == Categorical {
+				s, ok := interned[i][v.Str]
+				if !ok {
+					s = strings.Clone(v.Str)
+					interned[i][s] = s
+				}
+				v.Str = s
 			}
 			t[i] = v
 		}

@@ -1,7 +1,10 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"math"
 	"math/rand"
 	"sync"
 )
@@ -36,6 +39,67 @@ func AppendTupleKey(dst []byte, s *Schema, t Tuple) []byte {
 		dst = append(dst, '\x1f')
 	}
 	return dst
+}
+
+// tupleSeed seeds HashTuple for the life of the process.
+var tupleSeed = maphash.MakeSeed()
+
+// HashTuple hashes t under schema s without building its key: SameTuple(s,
+// a, b) implies HashTuple(s, a) == HashTuple(s, b). It runs maphash once
+// over a prefix-free encoding of the tuple, built on the stack for tuples
+// of up to 256 encoded bytes: per value a tag byte, then a categorical
+// string's length and bytes or a numeric value's float bits (every NaN
+// encodes as one). So two tuples collide only by chance under the
+// process's random seed, never by how their strings are cut.
+func HashTuple(s *Schema, t Tuple) uint64 {
+	var buf [256]byte
+	b := buf[:0]
+	for i := range t {
+		v := &t[i]
+		switch {
+		case v.Null:
+			b = append(b, 0)
+		case s.Type(i) == Numeric:
+			bits := math.Float64bits(v.Num)
+			if v.Num != v.Num {
+				bits = math.Float64bits(math.NaN())
+			}
+			b = binary.LittleEndian.AppendUint64(append(b, 1), bits)
+		default:
+			b = binary.AppendUvarint(append(b, 2), uint64(len(v.Str)))
+			b = append(b, v.Str...)
+		}
+	}
+	return maphash.Bytes(tupleSeed, b)
+}
+
+// SameTuple reports whether a and b have the same key under s
+// (AppendTupleKey) without building either: values agree pairwise on
+// nullness, categorical strings are equal, and numeric values have equal
+// float bits or are both NaN. So −0 and +0 differ, every NaN payload is the
+// same value, and NULL, "" and "\x00null" are three different values.
+func SameTuple(s *Schema, a, b Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		switch {
+		case x.Null || y.Null:
+			if x.Null != y.Null {
+				return false
+			}
+		case s.Type(i) == Numeric:
+			if math.Float64bits(x.Num) != math.Float64bits(y.Num) && (x.Num == x.Num || y.Num == y.Num) {
+				return false
+			}
+		default:
+			if x.Str != y.Str {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // appendEscaped appends str with a 0x1e before each 0x00, 0x1e and 0x1f.

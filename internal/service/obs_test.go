@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -439,6 +440,25 @@ func TestSlowQueryCounter(t *testing.T) {
 	do(t, svc, "GET", "/answer?q=Model+like+Camry", "")
 	if got := svc.met.slowQueries.Load(); got != 1 {
 		t.Errorf("cache hit counted as slow: %d", got)
+	}
+
+	// Under 1-in-1000 head sampling at most one of four computed answers is
+	// traced; every one of them is still slow, counted and logged.
+	var logBuf bytes.Buffer
+	sampled := newService(t, rel, nil, Config{
+		SlowQuery: time.Nanosecond, TraceSample: 1000,
+		Logger: slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelWarn})),
+	})
+	for _, q := range []string{"Model+like+Camry", "Model+like+Civic", "Make+like+Ford", "Price+like+9000"} {
+		if code, body := do(t, sampled, "GET", "/answer?q="+q, ""); code != http.StatusOK {
+			t.Fatalf("%s: status %d: %v", q, code, body)
+		}
+	}
+	if got := sampled.met.slowQueries.Load(); got != 4 {
+		t.Errorf("slow queries under sampling = %d, want 4", got)
+	}
+	if got := strings.Count(logBuf.String(), `msg="slow query"`); got != 4 {
+		t.Errorf("%d slow-query log lines under sampling, want 4:\n%s", got, logBuf.String())
 	}
 }
 

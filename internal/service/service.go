@@ -637,8 +637,9 @@ func (s *Service) bounds(req *answerRequest) (int, float64, error) {
 // falls in the trace ring's head sample. An attached audit log forces the
 // recorder too, so every audited computation carries a trace ID and
 // relaxation-depth provenance. The finished trace feeds the per-stage
-// histograms and the slow-query log; a sampled or explain trace also feeds
-// the ring, and an explain trace rides on the payload itself.
+// histograms; a sampled or explain trace also feeds the ring, and an
+// explain trace rides on the payload itself. Every run is timed on its own,
+// traced or not, for the slow-query counter and log.
 func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Query, k int, tsim float64, traceID string, explain bool) (*answerPayload, error) {
 	cfg := s.cfg.Engine
 	cfg.K = k
@@ -657,7 +658,9 @@ func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Qu
 		ctx = obs.WithRecorder(ctx, rec)
 	}
 	eng := core.New(s.src, pack.est, pack.relaxer, cfg)
+	start := time.Now()
 	res, err := eng.AnswerContext(ctx, q)
+	elapsed := time.Since(start)
 	if res != nil {
 		s.met.relaxQueries.Add(int64(res.Work.QueriesIssued))
 		s.met.tuplesRead.Add(int64(res.Work.TuplesExtracted))
@@ -674,13 +677,9 @@ func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Qu
 			s.met.stages.Observe(name, d.Seconds())
 		}
 		s.met.stages.Observe("total", t.ElapsedMs/1000)
-		if s.cfg.SlowQuery > 0 && t.ElapsedMs >= float64(s.cfg.SlowQuery)/1e6 {
-			s.met.slowQueries.Add(1)
-			s.log.Warn("slow query",
-				"request_id", t.ID, "query", t.Query, "elapsed_ms", t.ElapsedMs,
-				"relax_steps", len(t.Steps), "base_count", t.BaseCount,
-				"answers", len(t.Answers), "error", t.Err)
-		}
+	}
+	if s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery {
+		s.logSlow(traceID, text, elapsed, res, tr, err)
 	}
 	if err != nil {
 		if res != nil && len(res.Answers) > 0 {
@@ -700,6 +699,27 @@ func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Qu
 	s.auditRecord(pack, q, p, tr, k, tsim, explain, false)
 	s.notifyAnswer(pack, p)
 	return p, nil
+}
+
+// logSlow counts one computed answer slower than the slow-query threshold
+// and logs it from the run's own elapsed time, work and answer count, with
+// the trace's relaxation steps and base-set size when the run was traced.
+func (s *Service) logSlow(reqID, text string, elapsed time.Duration, res *core.Result, tr *obs.Trace, err error) {
+	s.met.slowQueries.Add(1)
+	queries, answers := 0, 0
+	if res != nil {
+		queries, answers = res.Work.QueriesIssued, len(res.Answers)
+	}
+	attrs := []any{"request_id", reqID, "query", text, "elapsed_ms", float64(elapsed) / 1e6,
+		"queries_issued", queries, "answers", answers}
+	if tr != nil {
+		attrs = append(attrs, "relax_steps", len(tr.Steps), "base_count", tr.BaseCount)
+	}
+	errText := ""
+	if err != nil {
+		errText = err.Error()
+	}
+	s.log.Warn("slow query", append(attrs, "error", errText)...)
 }
 
 // payload builds the response body; text is q.String().

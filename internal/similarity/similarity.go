@@ -241,22 +241,6 @@ func (e *Estimator) VSim(attr int, v1, v2 string) float64 {
 	return row[v2]
 }
 
-// MaxVSim returns an upper bound on VSim(attr, v, v') over every value
-// v' ≠ v: the largest similarity in v's mined row (0 when v has no similar
-// values). Relaxation pruning uses it as the cap on how much similarity a
-// dropped categorical attribute can still contribute from a non-identical
-// value; it reads the live matrix, so SetVSim feedback is reflected
-// immediately.
-func (e *Estimator) MaxVSim(attr int, v string) float64 {
-	m := 0.0
-	for _, s := range e.matrices[attr][v] {
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
-
 // Matrix returns a deep copy of the pairwise similarity matrix of one
 // categorical attribute (v1 → v2 → sim; symmetric, self-pairs omitted).
 // Used by model persistence.
@@ -402,18 +386,67 @@ func NumericSim(q, t float64) float64 {
 
 // Sim computes Sim(Q, t): the importance-weighted similarity between an
 // imprecise query and a candidate tuple over the query's bound attributes,
-// under weights = Ordering.ImportanceWeights(q.BoundAttrs()). Callers
-// scoring many tuples against one query compute the weights once. Range
+// under weights = Ordering.ImportanceWeights(q.BoundAttrs()). Range
 // predicates and comparisons contribute via their boundary value (range via
-// its midpoint). Null tuple values contribute 0.
+// its midpoint). Null tuple values contribute 0. Callers scoring many tuples
+// against one query prepare a QueryScorer once instead.
 func (e *Estimator) Sim(q *query.Query, t relation.Tuple, weights []float64) float64 {
+	return e.PrepareQuery(q, weights).Score(t)
+}
+
+// QueryScorer scores tuples against one query: Score(t) is Sim(q, t,
+// weights), adding the same terms in the same order, so every score is
+// bit-identical. The VSim row of each categorical =/like predicate value is
+// read once, when the scorer is prepared; in and range predicates go
+// through predSim per tuple.
+type QueryScorer struct {
+	est   *Estimator
+	terms []queryTerm
+}
+
+// queryTerm is one predicate of a QueryScorer with its weight.
+type queryTerm struct {
+	p      query.Predicate
+	weight float64
+	// resolved marks a categorical =/like predicate, scored from row (the
+	// VSim row of p.Value) instead of predSim.
+	resolved bool
+	row      map[string]float64
+}
+
+// PrepareQuery returns the scorer of Sim(q, ·, weights). It reads the live
+// matrices, so it sees SetVSim feedback made before it was prepared.
+func (e *Estimator) PrepareQuery(q *query.Query, weights []float64) *QueryScorer {
+	s := &QueryScorer{est: e, terms: make([]queryTerm, len(q.Preds))}
+	for i, p := range q.Preds {
+		tm := queryTerm{p: p, weight: weights[p.Attr]}
+		if (p.Op == query.OpEq || p.Op == query.OpLike) && e.Schema.Type(p.Attr) == relation.Categorical {
+			tm.resolved, tm.row = true, e.matrices[p.Attr][p.Value.Str]
+		}
+		s.terms[i] = tm
+	}
+	return s
+}
+
+// Score returns Sim(q, t, weights) for the prepared query and weights.
+func (s *QueryScorer) Score(t relation.Tuple) float64 {
 	total := 0.0
-	for _, p := range q.Preds {
-		tv := t[p.Attr]
-		if tv.IsNull() {
+	for i := range s.terms {
+		tm := &s.terms[i]
+		tv := &t[tm.p.Attr]
+		if tv.Null {
 			continue
 		}
-		total += weights[p.Attr] * e.predSim(p, tv)
+		var sim float64
+		switch {
+		case !tm.resolved:
+			sim = s.est.predSim(tm.p, *tv)
+		case tv.Str == tm.p.Value.Str:
+			sim = 1
+		default:
+			sim = tm.row[tv.Str]
+		}
+		total += tm.weight * sim
 	}
 	return total
 }
@@ -481,22 +514,86 @@ func (e *Estimator) SimExplain(q *query.Query, t relation.Tuple) (float64, []obs
 // tuple as a fully-bound query (Algorithm 1 measures Sim(t, t′) between a
 // base-set tuple and a retrieved tuple). weights is
 // Ordering.ImportanceWeights of the compared attribute set, so attributes
-// outside it weigh 0; the engine's gate compares every attribute and
-// computes those weights once per request.
+// outside it weigh 0. Callers scoring many tuples against one first tuple
+// (the engine's gate, against each base tuple) prepare a TupleScorer once
+// instead.
 func (e *Estimator) SimTuples(t1, t2 relation.Tuple, weights []float64) float64 {
-	total := 0.0
+	return e.PrepareTuple(t1, weights).Score(t2)
+}
+
+// TupleScorer scores tuples against one fixed tuple: Score(t) is
+// SimTuples(base, t, weights), adding the same terms in the same order, so
+// every score is bit-identical. The VSim row of each categorical base value
+// is read once, when the scorer is prepared, so a differing categorical
+// value costs one string-keyed probe.
+type TupleScorer struct {
+	base  relation.Tuple
+	terms []tupleTerm
+}
+
+// tupleTerm is one attribute of a TupleScorer.
+type tupleTerm struct {
+	weight      float64
+	categorical bool
+	// row is the VSim row of the base tuple's value: nil for numeric
+	// attributes, null base values and values with no similar values.
+	row map[string]float64
+}
+
+// PrepareTuple returns the scorer of SimTuples(base, ·, weights). It reads
+// the live matrices, so it sees SetVSim feedback made before it was
+// prepared.
+func (e *Estimator) PrepareTuple(base relation.Tuple, weights []float64) *TupleScorer {
+	s := &TupleScorer{base: base, terms: make([]tupleTerm, len(weights))}
 	for a, w := range weights {
-		v1, v2 := t1[a], t2[a]
-		if v1.IsNull() || v2.IsNull() {
+		tm := tupleTerm{weight: w, categorical: e.Schema.Type(a) == relation.Categorical}
+		if tm.categorical && !base[a].Null {
+			tm.row = e.matrices[a][base[a].Str]
+		}
+		s.terms[a] = tm
+	}
+	return s
+}
+
+// Score returns SimTuples(base, t, weights) for the prepared base tuple and
+// weights.
+func (s *TupleScorer) Score(t relation.Tuple) float64 {
+	total := 0.0
+	for a := range s.terms {
+		tm := &s.terms[a]
+		v1, v2 := &s.base[a], &t[a]
+		if v1.Null || v2.Null {
 			continue
 		}
-		if e.Schema.Type(a) == relation.Categorical {
-			total += w * e.VSim(a, v1.Str, v2.Str)
-		} else {
-			total += w * NumericSim(v1.Num, v2.Num)
+		if !tm.categorical {
+			total += tm.weight * NumericSim(v1.Num, v2.Num)
+			continue
 		}
+		sim := 1.0
+		if v1.Str != v2.Str {
+			sim = tm.row[v2.Str]
+		}
+		total += tm.weight * sim
 	}
 	return total
+}
+
+// Weight returns the prepared weight of attribute attr.
+func (s *TupleScorer) Weight(attr int) float64 { return s.terms[attr].weight }
+
+// MaxVSim returns an upper bound on VSim(attr, v, v') over every value
+// v' ≠ v of the base tuple's value v: the largest similarity in v's mined
+// row (0 when v is null or has no similar values). Relaxation pruning uses
+// it as the cap on how much similarity a dropped categorical attribute can
+// still contribute from a non-identical value.
+func (s *TupleScorer) MaxVSim(attr int) float64 {
+	m := 0.0
+	for _, sim := range s.terms[attr].row {
+		if sim > m {
+			m = sim
+		}
+	}
+	return m
 }
 
 // DescribeNeighborhood renders the top similar values of one AV-pair, in
