@@ -4,8 +4,8 @@
 #   make fmt         — fail when any Go file is not gofmt-clean
 #   make race        — race-check the concurrent packages (service, core,
 #                      webdb, engine's columnar worker pool, similarity's
-#                      chunked pair sweep, the learn pipeline's workers,
-#                      aimq-serve's stack builder)
+#                      chunked pair sweep, the probe worker pool, the learn
+#                      pipeline's workers, aimq-serve's stack builder)
 #   make fuzz        — fuzz the query parser, the columnar engine against
 #                      its legacy oracle, the traceparent parser, then the
 #                      CSV relation reader, each for a short fixed time
@@ -48,11 +48,12 @@ test:
 # the columnar chunk worker pool (and its randomized differential suite);
 # similarity chunks the VSim pair sweep across goroutines. tane shards
 # lattice levels across workers (with its own differential oracle suite),
-# and partition's scratch reuse backs that sharding. learn drives all of
+# and partition's scratch reuse backs that sharding. probe sends its
+# spanning queries from a worker pool, its only runner. learn drives all of
 # those worker pools from one Workers setting. serve starts the drift,
 # refresh and debug goroutines beside the listener.
 race:
-	$(GO) test -race ./internal/service/... ./internal/core/... ./internal/webdb/... ./internal/obs/... ./internal/engine/... ./internal/similarity/... ./internal/audit/... ./internal/drift/... ./internal/lifecycle/... ./internal/tane/... ./internal/partition/... ./internal/learn/... ./internal/serve/...
+	$(GO) test -race ./internal/service/... ./internal/core/... ./internal/webdb/... ./internal/obs/... ./internal/engine/... ./internal/similarity/... ./internal/audit/... ./internal/drift/... ./internal/lifecycle/... ./internal/tane/... ./internal/partition/... ./internal/probe/... ./internal/learn/... ./internal/serve/...
 
 # Parse reads untrusted query text, and the answer-cache key and cache
 # snapshot rely on Parse(q.Text()) giving q back; every accepted query must

@@ -288,8 +288,8 @@ func BenchmarkAblation_SupertupleBuckets(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_RelaxationStrategy compares the online work of guided,
-// random and exhaustive-depth relaxation for the same query.
+// BenchmarkAblation_RelaxationStrategy compares the online work of guided
+// and random relaxation for the same query.
 func BenchmarkAblation_RelaxationStrategy(b *testing.B) {
 	l := lab()
 	pipe, err := l.CarPipeline(l.P.StudySample)
@@ -301,9 +301,8 @@ func BenchmarkAblation_RelaxationStrategy(b *testing.B) {
 		Where("Model", query.OpLike, relation.Cat("Accord")).
 		Where("Price", query.OpLike, relation.Numv(9000))
 	strategies := map[string]core.Relaxer{
-		"guided":  &core.Guided{Ord: pipe.Ord},
-		"guided1": &core.Guided{Ord: pipe.Ord, MaxK: 1},
-		"random":  &core.Random{Rng: rand.New(rand.NewSource(1))},
+		"guided": &core.Guided{Ord: pipe.Ord},
+		"random": &core.Random{Rng: rand.New(rand.NewSource(1))},
 	}
 	for name, relaxer := range strategies {
 		b.Run(name, func(b *testing.B) {
@@ -371,7 +370,7 @@ func BenchmarkProbeParallelism(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c := probe.New(webdb.NewLocal(rel), rand.New(rand.NewSource(9)))
+				c := probe.New(webdb.NewLocal(rel))
 				c.SeedProbeLimit = 2000
 				c.Parallelism = workers
 				if _, err := c.Collect("Make"); err != nil {

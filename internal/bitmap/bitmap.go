@@ -8,8 +8,8 @@
 // the paper's boolean query model (§3.1) is priced in.
 //
 // Bitmaps are sized to a whole number of 64-bit words with the trailing
-// bits of the last word kept zero, so And/AndNot/Or/Count never need a tail
-// special case. The columnar store picks chunk sizes that are multiples of
+// bits of the last word kept zero, so the word kernels (AndWords, OrWords,
+// CountWords, ...) never need a tail special case. The columnar store picks chunk sizes that are multiples of
 // 64, which makes a chunk's slice of a global bitmap a zero-copy word
 // subslice (see WordRange).
 package bitmap
@@ -19,11 +19,11 @@ import "math/bits"
 // WordBits is the width of one bitmap word.
 const WordBits = 64
 
-// Bitmap is a fixed-size set of positions [0, Len). The zero value is an
-// empty bitmap of length 0; use New or NewFull for a sized one.
+// Bitmap is a fixed-size set of positions [0, n), built with New and Set.
+// Beyond Get, it is read one chunk at a time through WordRange and the word
+// kernels.
 type Bitmap struct {
 	words []uint64
-	n     int
 }
 
 // WordsFor returns the number of 64-bit words needed for n bits.
@@ -31,33 +31,13 @@ func WordsFor(n int) int { return (n + WordBits - 1) / WordBits }
 
 // New returns an empty bitmap over positions [0, n).
 func New(n int) *Bitmap {
-	return &Bitmap{words: make([]uint64, WordsFor(n)), n: n}
+	return &Bitmap{words: make([]uint64, WordsFor(n))}
 }
-
-// NewFull returns a bitmap over [0, n) with every position set. Trailing
-// bits beyond n in the last word stay zero.
-func NewFull(n int) *Bitmap {
-	b := New(n)
-	b.Fill()
-	return b
-}
-
-// FromWords wraps an existing word slice as a bitmap of n bits. The slice
-// is used as-is (not copied) and must hold WordsFor(n) words with the
-// trailing bits of the last word zero.
-func FromWords(words []uint64, n int) *Bitmap {
-	return &Bitmap{words: words, n: n}
-}
-
-// Len returns the number of addressable positions.
-func (b *Bitmap) Len() int { return b.n }
-
-// Words returns the backing word slice. Shared, not a copy: the engine
-// slices it to view one chunk of a global posting bitmap without copying.
-func (b *Bitmap) Words() []uint64 { return b.words }
 
 // WordRange returns the words covering bit positions [lo, hi), which must
-// both be multiples of 64 (hi may exceed Len and is clamped).
+// both be multiples of 64 (hi may exceed the bitmap's size and is clamped).
+// The slice shares the bitmap's storage: the engine views one chunk of a
+// global posting bitmap without copying.
 func (b *Bitmap) WordRange(lo, hi int) []uint64 {
 	w0 := lo / WordBits
 	w1 := WordsFor(hi)
@@ -72,99 +52,9 @@ func (b *Bitmap) Set(i int) {
 	b.words[i/WordBits] |= 1 << uint(i%WordBits)
 }
 
-// Clear unmarks position i.
-func (b *Bitmap) Clear(i int) {
-	b.words[i/WordBits] &^= 1 << uint(i%WordBits)
-}
-
 // Get reports whether position i is set.
 func (b *Bitmap) Get(i int) bool {
 	return b.words[i/WordBits]&(1<<uint(i%WordBits)) != 0
-}
-
-// Fill sets every position in [0, Len), keeping trailing bits zero.
-func (b *Bitmap) Fill() {
-	for i := range b.words {
-		b.words[i] = ^uint64(0)
-	}
-	maskTail(b.words, b.n)
-}
-
-// Reset clears every position.
-func (b *Bitmap) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
-// maskTail zeroes the bits at and beyond position n in the last word of a
-// words slice covering n bits.
-func maskTail(words []uint64, n int) {
-	if r := n % WordBits; r != 0 && len(words) > 0 {
-		words[len(words)-1] &= (1 << uint(r)) - 1
-	}
-}
-
-// And intersects b with o in place. The bitmaps must be the same length.
-func (b *Bitmap) And(o *Bitmap) {
-	AndWords(b.words, o.words)
-}
-
-// AndNot removes o's positions from b in place. Same-length bitmaps only.
-func (b *Bitmap) AndNot(o *Bitmap) {
-	for i, w := range o.words {
-		b.words[i] &^= w
-	}
-}
-
-// Or unions o into b in place. Same-length bitmaps only.
-func (b *Bitmap) Or(o *Bitmap) {
-	for i, w := range o.words {
-		b.words[i] |= w
-	}
-}
-
-// Count returns the number of set positions (population count).
-func (b *Bitmap) Count() int {
-	return CountWords(b.words)
-}
-
-// Any reports whether any position is set.
-func (b *Bitmap) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Clone returns a deep copy.
-func (b *Bitmap) Clone() *Bitmap {
-	words := make([]uint64, len(b.words))
-	copy(words, b.words)
-	return &Bitmap{words: words, n: b.n}
-}
-
-// Iterate calls fn with each set position in ascending order until fn
-// returns false.
-func (b *Bitmap) Iterate(fn func(i int) bool) {
-	for wi, w := range b.words {
-		base := wi * WordBits
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			if !fn(base + bit) {
-				return
-			}
-			w &= w - 1
-		}
-	}
-}
-
-// AppendPositions appends every set position (ascending) to dst and
-// returns it. The int positions feed the engine's public Execute contract.
-func (b *Bitmap) AppendPositions(dst []int) []int {
-	return AppendWordPositions(dst, b.words, 0)
 }
 
 // FillWords sets the first n bits of words and zeroes any trailing bits.
@@ -174,7 +64,9 @@ func FillWords(words []uint64, n int) {
 	for i := range words {
 		words[i] = ^uint64(0)
 	}
-	maskTail(words, n)
+	if r := n % WordBits; r != 0 && len(words) > 0 {
+		words[len(words)-1] &= (1 << uint(r)) - 1
+	}
 }
 
 // ZeroWords clears a word slice (scratch reuse between chunks).

@@ -5,9 +5,13 @@ import (
 	"testing"
 )
 
+// TestSetGetClear: each Set is visible to Get across word boundaries, and
+// the positions around it stay clear.
 func TestSetGetClear(t *testing.T) {
-	b := New(130) // crosses two word boundaries with a ragged tail
-	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
+	const n = 130 // crosses two word boundaries with a ragged tail
+	b := New(n)
+	set := []int{0, 1, 63, 64, 65, 127, 128, 129}
+	for _, i := range set {
 		if b.Get(i) {
 			t.Fatalf("fresh bitmap has bit %d set", i)
 		}
@@ -16,25 +20,28 @@ func TestSetGetClear(t *testing.T) {
 			t.Fatalf("Set(%d) not visible", i)
 		}
 	}
-	if got := b.Count(); got != 8 {
-		t.Fatalf("Count = %d, want 8", got)
+	for _, i := range []int{2, 62, 66, 126} {
+		if b.Get(i) {
+			t.Fatalf("bit %d set without a Set", i)
+		}
 	}
-	b.Clear(64)
-	if b.Get(64) || b.Count() != 7 {
-		t.Fatalf("Clear(64) failed: count %d", b.Count())
+	if got := CountWords(b.WordRange(0, n)); got != len(set) {
+		t.Fatalf("CountWords = %d, want %d", got, len(set))
 	}
 }
 
+// TestNewFullMasksTail: a new bitmap filled through FillWords over its
+// words has every position set and the bits past its size clear.
 func TestNewFullMasksTail(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 100, 128, 4096} {
-		b := NewFull(n)
-		if got := b.Count(); got != n {
-			t.Fatalf("NewFull(%d).Count() = %d", n, got)
+		words := New(n).WordRange(0, n)
+		FillWords(words, n)
+		if got := CountWords(words); got != n {
+			t.Fatalf("filled New(%d) sets %d bits", n, got)
 		}
-		if n%WordBits != 0 && n > 0 {
-			last := b.Words()[len(b.Words())-1]
-			if last>>(uint(n%WordBits)) != 0 {
-				t.Fatalf("NewFull(%d) left trailing bits set", n)
+		if n%WordBits != 0 {
+			if last := words[len(words)-1]; last>>(uint(n%WordBits)) != 0 {
+				t.Fatalf("filled New(%d) left trailing bits set", n)
 			}
 		}
 	}
@@ -53,62 +60,34 @@ func TestBooleanOpsMatchSets(t *testing.T) {
 			b.Set(y)
 			bs[y] = true
 		}
-		and, or, andnot := a.Clone(), a.Clone(), a.Clone()
-		and.And(b)
-		or.Or(b)
-		andnot.AndNot(b)
+		aw, bw := a.WordRange(0, n), b.WordRange(0, n)
+		and := append([]uint64(nil), aw...)
+		or := append([]uint64(nil), aw...)
+		AndWords(and, bw)
+		OrWords(or, bw)
+		wantAnd, wantOr := 0, 0
 		for i := 0; i < n; i++ {
-			if and.Get(i) != (as[i] && bs[i]) {
-				t.Fatalf("trial %d: And bit %d", trial, i)
+			if bit(and, i) != (as[i] && bs[i]) {
+				t.Fatalf("trial %d: AndWords bit %d", trial, i)
 			}
-			if or.Get(i) != (as[i] || bs[i]) {
-				t.Fatalf("trial %d: Or bit %d", trial, i)
+			if bit(or, i) != (as[i] || bs[i]) {
+				t.Fatalf("trial %d: OrWords bit %d", trial, i)
 			}
-			if andnot.Get(i) != (as[i] && !bs[i]) {
-				t.Fatalf("trial %d: AndNot bit %d", trial, i)
+			if as[i] && bs[i] {
+				wantAnd++
+			}
+			if as[i] || bs[i] {
+				wantOr++
 			}
 		}
-		if and.Count() != CountWords(and.Words()) {
-			t.Fatalf("Count/CountWords disagree")
+		if CountWords(and) != wantAnd || CountWords(or) != wantOr {
+			t.Fatalf("trial %d: CountWords = %d/%d, want %d/%d",
+				trial, CountWords(and), CountWords(or), wantAnd, wantOr)
 		}
 	}
 }
 
-func TestIterateAndAppendPositions(t *testing.T) {
-	b := New(500)
-	want := []int{0, 1, 63, 64, 200, 255, 256, 499}
-	for _, i := range want {
-		b.Set(i)
-	}
-	var got []int
-	b.Iterate(func(i int) bool {
-		got = append(got, i)
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("Iterate visited %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Iterate order: %v, want %v", got, want)
-		}
-	}
-	ap := b.AppendPositions(nil)
-	for i := range want {
-		if ap[i] != want[i] {
-			t.Fatalf("AppendPositions: %v, want %v", ap, want)
-		}
-	}
-	// Early-stop iteration.
-	count := 0
-	b.Iterate(func(i int) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("Iterate did not stop early: %d visits", count)
-	}
-}
+func bit(words []uint64, i int) bool { return words[i/WordBits]&(1<<uint(i%WordBits)) != 0 }
 
 func TestWordRangeViewsShareStorage(t *testing.T) {
 	b := New(4096 * 3)
@@ -126,6 +105,30 @@ func TestWordRangeViewsShareStorage(t *testing.T) {
 	}
 }
 
+// TestIterateAndAppendPositions walks a bitmap chunk by chunk, as the
+// engine does, appending each chunk view's positions offset by its base:
+// the result is every set position, ascending.
+func TestIterateAndAppendPositions(t *testing.T) {
+	const n, chunk = 500, 128
+	b := New(n)
+	want := []int{0, 1, 63, 64, 200, 255, 256, 499}
+	for _, i := range want {
+		b.Set(i)
+	}
+	var got []int
+	for lo := 0; lo < n; lo += chunk {
+		got = AppendWordPositions(got, b.WordRange(lo, lo+chunk), lo)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("positions %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("positions %v, want %v", got, want)
+		}
+	}
+}
+
 func TestAppendWordPositionsBase(t *testing.T) {
 	words := []uint64{1 << 3, 1 << 0}
 	got := AppendWordPositions(nil, words, 8192)
@@ -136,33 +139,39 @@ func TestAppendWordPositionsBase(t *testing.T) {
 
 func TestAnyAndReset(t *testing.T) {
 	b := New(200)
-	if b.Any() {
-		t.Fatal("empty bitmap Any() = true")
+	words := b.WordRange(0, 200)
+	if AnyWord(words) {
+		t.Fatal("empty bitmap: AnyWord = true")
 	}
 	b.Set(199)
-	if !b.Any() || !AnyWord(b.Words()) {
-		t.Fatal("Any() missed set bit")
+	if !AnyWord(words) {
+		t.Fatal("AnyWord missed set bit")
 	}
-	b.Reset()
-	if b.Any() || b.Count() != 0 {
-		t.Fatal("Reset left bits")
+	ZeroWords(words)
+	if AnyWord(words) || b.Get(199) {
+		t.Fatal("ZeroWords left bits")
 	}
 }
 
 func BenchmarkAndWords1M(b *testing.B) {
-	x, y := NewFull(1_000_000), NewFull(1_000_000)
+	const n = 1_000_000
+	x, y := make([]uint64, WordsFor(n)), make([]uint64, WordsFor(n))
+	FillWords(x, n)
+	FillWords(y, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AndWords(x.Words(), y.Words())
+		AndWords(x, y)
 	}
 }
 
 func BenchmarkCount1M(b *testing.B) {
-	x := NewFull(1_000_000)
+	const n = 1_000_000
+	x := make([]uint64, WordsFor(n))
+	FillWords(x, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if x.Count() != 1_000_000 {
+		if CountWords(x) != n {
 			b.Fatal("bad count")
 		}
 	}

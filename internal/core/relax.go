@@ -42,21 +42,15 @@ type Relaxer interface {
 // cartesian order.
 type Guided struct {
 	Ord *afd.Ordering
-	// MaxK bounds the relaxation depth (number of attributes dropped at
-	// once). 0 means |bound|−1, the deepest useful level.
-	MaxK int
 }
 
 // Name implements Relaxer.
 func (g *Guided) Name() string { return "GuidedRelax" }
 
-// Schedule implements Relaxer.
+// Schedule implements Relaxer: relaxations down to |bound|−1 dropped
+// attributes, the deepest useful level.
 func (g *Guided) Schedule(bound relation.AttrSet) []relation.AttrSet {
-	maxK := g.MaxK
-	if maxK <= 0 {
-		maxK = bound.Size() - 1
-	}
-	return g.Ord.AllRelaxations(maxK, bound)
+	return g.Ord.AllRelaxations(bound.Size()-1, bound)
 }
 
 // Chain implements Relaxer: attributes drop in mined importance order.
@@ -80,15 +74,13 @@ func (g *Guided) Chain(bound relation.AttrSet) []relation.AttrSet {
 // that "mimics the random process by which users would relax queries by
 // arbitrarily picking attributes to relax": the schedule is a uniformly
 // random permutation of every possible relaxation (all non-empty proper
-// subsets up to MaxK attributes), with none of Guided's structure. A user
+// subsets of the bound attributes), with none of Guided's structure. A user
 // flailing at a query form has no reason to try single-attribute
 // relaxations first, let alone the unimportant attributes first — which is
 // exactly why RandomRelax wastes work extracting irrelevant tuples
 // (paper Figure 7).
 type Random struct {
 	Rng *rand.Rand
-	// MaxK bounds relaxation depth as in Guided.
-	MaxK int
 }
 
 // Name implements Relaxer.
@@ -96,13 +88,9 @@ func (r *Random) Name() string { return "RandomRelax" }
 
 // Schedule implements Relaxer.
 func (r *Random) Schedule(bound relation.AttrSet) []relation.AttrSet {
-	maxK := r.MaxK
-	if maxK <= 0 || maxK > bound.Size()-1 {
-		maxK = bound.Size() - 1
-	}
 	members := bound.Members()
 	var out []relation.AttrSet
-	for k := 1; k <= maxK; k++ {
+	for k := 1; k < len(members); k++ {
 		out = append(out, subsetsOf(members, k)...)
 	}
 	r.Rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })

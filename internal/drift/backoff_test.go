@@ -80,23 +80,6 @@ func TestMonitorBacksOffOnProbeFailures(t *testing.T) {
 	}
 }
 
-func TestMonitorBackoffCapConfigurable(t *testing.T) {
-	base := genRel(500, 1, 1, "")
-	profile := BuildProfile(base, []int{0})
-	src := &flakySource{src: webdb.NewLocal(base), broken: true}
-	mon := NewMonitor(src, profile, MonitorConfig{
-		SampleLimit:       400,
-		Interval:          time.Minute,
-		FailureBackoffMax: 3 * time.Minute,
-	})
-	for i := 0; i < 5; i++ {
-		_, _ = mon.Tick()
-	}
-	if got := mon.NextInterval(); got != 3*time.Minute {
-		t.Fatalf("NextInterval = %v, want configured cap 3m", got)
-	}
-}
-
 func TestSetBaselineSwapsComparisonAnchor(t *testing.T) {
 	oldBase := genRel(2000, 1, 1, "")
 	oldProfile := BuildProfile(oldBase, []int{0})

@@ -25,16 +25,15 @@ type MonitorConfig struct {
 	PSIWarn float64
 	// Seed drives the down-sampling RNG. Default 1.
 	Seed int64
-	// Pivot overrides the probing pivot; "" uses the baseline profile's.
-	Pivot string
 	// ProbeWorkers is the re-probe's spanning-query parallelism. Default 1.
 	ProbeWorkers int
-	// FailureBackoffMax caps the exponential backoff Run applies after
-	// consecutive re-probe failures (Interval, 2·Interval, 4·Interval, …):
-	// hammering an already-unhealthy source at the fixed tick only feeds its
-	// breaker. Default 8× Interval.
-	FailureBackoffMax time.Duration
 }
+
+// maxBackoff caps the exponential backoff Run applies after consecutive
+// re-probe failures (Interval, 2·Interval, 4·Interval, …) at this many
+// Intervals: hammering an already-unhealthy source at the fixed tick only
+// feeds its breaker.
+const maxBackoff = 8
 
 func (c MonitorConfig) withDefaults() MonitorConfig {
 	if c.Interval == 0 {
@@ -48,9 +47,6 @@ func (c MonitorConfig) withDefaults() MonitorConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.FailureBackoffMax == 0 {
-		c.FailureBackoffMax = 8 * c.Interval
 	}
 	return c
 }
@@ -148,13 +144,9 @@ func (m *Monitor) sampleAndCompare() (*Report, error) {
 	baseline := m.baseline
 	rng := rand.New(rand.NewSource(m.rng.Int63()))
 	m.mu.Unlock()
-	pivot := m.cfg.Pivot
-	if pivot == "" {
-		// "" again when the baseline predates pivot tracking: probe.Sample
-		// then rediscovers one, the way the learn phase does.
-		pivot = baseline.Pivot
-	}
-	sample, _, err := probe.Sample(m.src, pivot, m.cfg.SampleLimit, m.cfg.ProbeWorkers, rng)
+	// The baseline's pivot is "" when it predates pivot tracking:
+	// probe.Sample then rediscovers one, the way the learn phase does.
+	sample, _, err := probe.Sample(m.src, baseline.Pivot, m.cfg.SampleLimit, m.cfg.ProbeWorkers, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -164,8 +156,8 @@ func (m *Monitor) sampleAndCompare() (*Report, error) {
 // Run ticks at the configured interval until ctx is cancelled. Errors are
 // retained in Status (and counted), never fatal — a flaky source must not
 // kill the monitor. Consecutive failures stretch the wait exponentially
-// (capped at FailureBackoffMax) so an unhealthy source isn't re-probed at
-// full cadence; the first success snaps back to the base interval.
+// (capped at 8× Interval) so an unhealthy source isn't re-probed at full
+// cadence; the first success snaps back to the base interval.
 func (m *Monitor) Run(ctx context.Context) {
 	t := time.NewTimer(m.NextInterval())
 	defer t.Stop()
@@ -184,11 +176,11 @@ func (m *Monitor) Run(ctx context.Context) {
 // current consecutive-failure streak: Interval·2^n, capped.
 func (m *Monitor) NextInterval() time.Duration {
 	fails := m.consecFails.Load()
-	d := m.cfg.Interval
+	d, ceiling := m.cfg.Interval, maxBackoff*m.cfg.Interval
 	for i := int64(0); i < fails; i++ {
 		d *= 2
-		if d >= m.cfg.FailureBackoffMax {
-			return m.cfg.FailureBackoffMax
+		if d >= ceiling {
+			return ceiling
 		}
 	}
 	return d

@@ -72,9 +72,9 @@ type Model struct {
 	Snap *model.Snapshot
 }
 
-// Probe collects the sample Build learns from (see probe.Sample). One
-// rand.New(Seed) stream feeds the collector and then the sample cap, so a
-// config always draws the same sample.
+// Probe collects the sample Build learns from (see probe.Sample). The
+// sample cap draws from rand.New(Seed), so a config always draws the same
+// sample.
 func Probe(src webdb.Source, cfg Config) (*relation.Relation, probe.Stats, error) {
 	cfg = cfg.withDefaults()
 	sample, st, err := probe.Sample(src, cfg.Pivot, cfg.SampleSize, cfg.Workers, rand.New(rand.NewSource(cfg.Seed)))

@@ -238,9 +238,8 @@ func G3AFD(x, xa *Partition, s *Scratch) float64 {
 // as mutually indistinguishable on that attribute, the conservative choice
 // for dependency mining over probed Web data).
 func Single(rel *relation.Relation, attr int) *Partition {
-	typ := rel.Schema().Type(attr)
 	n := rel.Size()
-	if typ == relation.Numeric {
+	if rel.Schema().Type(attr) == relation.Numeric {
 		// Group by the raw float bits: formatting every value through
 		// Value.Key made strconv the hottest call in the mining phase, and
 		// the bits are the same identity (NaNs are canonicalized; the
@@ -274,27 +273,8 @@ func Single(rel *relation.Relation, attr int) *Partition {
 	}
 	// Categorical: group by the relation's interned dictionary codes — a
 	// counting sort, no string hashing and no per-class slice growth.
-	if codes, card, ok := rel.CatCodes(attr); ok {
-		return fromCodes(n, codes, card)
-	}
-	// Fallback for relations that cannot intern the attribute: the original
-	// string-keyed grouping.
-	groups := make(map[string][]int32)
-	for i, t := range rel.Tuples() {
-		k := t[attr].Key(typ)
-		groups[k] = append(groups[k], int32(i))
-	}
-	p := &Partition{N: n}
-	for _, g := range groups {
-		if len(g) >= 2 {
-			if len(p.Offsets) == 0 {
-				p.Offsets = append(p.Offsets, 0)
-			}
-			p.Elems = append(p.Elems, g...)
-			p.Offsets = append(p.Offsets, int32(len(p.Elems)))
-		}
-	}
-	return p
+	codes, card, _ := rel.CatCodes(attr)
+	return fromCodes(n, codes, card)
 }
 
 // fromCodes builds the stripped partition of a dictionary-coded column by

@@ -7,8 +7,8 @@
 // The Collector realizes that: it enumerates the distinct values of a pivot
 // attribute (discovered from an initial unconstrained probe) and issues one
 // equality query per value; numeric pivots are covered with a sweep of
-// disjoint ranges. The union of the answers is the probed relation, from
-// which simple random samples of the requested sizes are drawn.
+// disjoint ranges. The union of the answers is the probed relation, which
+// Sample caps at the requested size with a simple random sample.
 package probe
 
 import (
@@ -25,24 +25,16 @@ import (
 	"aimq/internal/webdb"
 )
 
-// Collector probes a Source and materializes samples.
+// Collector probes a Source and materializes the probed relation.
 type Collector struct {
 	src webdb.Source
-	rng *rand.Rand
 
-	// PerQueryLimit caps tuples fetched per probing query; 0 means
-	// unlimited. Real Web sources page results, so a cap per query with
-	// more (narrower) queries is the realistic regime.
-	PerQueryLimit int
 	// SeedProbeLimit caps the initial unconstrained probe used to discover
 	// pivot values. Default 2000.
 	SeedProbeLimit int
 	// Buckets is the number of ranges used to span a numeric pivot.
 	// Default 20.
 	Buckets int
-	// MaxFailures tolerated before Collect gives up (flaky sources).
-	// Default 0: any failure aborts.
-	MaxFailures int
 	// Parallelism is the number of spanning queries in flight at once
 	// (remote sources tolerate a handful of concurrent form submissions).
 	// Results are merged in query order, so the probed relation — and
@@ -65,36 +57,19 @@ type Stats struct {
 	TuplesReturned  int    // tuples returned across spanning queries, pre-dedup
 	ProbedTuples    int    // distinct tuples kept in the probed relation
 
-	// ProbeTime and CapTime time the two steps of a Sample call: pivot
-	// discovery plus the spanning collect, then the down-sampling cap.
+	// ProbeTime and CapTime time the two steps of a Sample call: the
+	// collect (seed probe, pivot discovery, spanning queries), then the
+	// down-sampling cap.
 	ProbeTime, CapTime time.Duration
 }
 
 // Sample is the probing step shared by the offline learn phase and the
-// drift monitor's re-probe. With pivot "" it discovers one: the
-// lowest-cardinality attribute that shows at least two values in a seed
-// probe. It collects the source with spanning queries over the pivot,
-// workers at a time, then caps the probed relation at limit tuples (0 =
-// keep all) drawn with rng. rng is handed to the collector first and used
-// by the cap after it, the stream order the learned fingerprints rely on.
+// drift monitor's re-probe. It collects the source with spanning queries
+// over pivot ("" = discover one, see Collect), workers at a time, then caps
+// the probed relation at limit tuples (0 = keep all) drawn with rng.
 func Sample(src webdb.Source, pivot string, limit, workers int, rng *rand.Rand) (*relation.Relation, Stats, error) {
 	start := time.Now()
-	if pivot == "" {
-		infos, err := PivotCoverage(src, 2000)
-		if err != nil {
-			return nil, Stats{}, fmt.Errorf("probe: pivot discovery failed: %w", err)
-		}
-		for _, info := range infos {
-			if info.DistinctInSeed >= 2 {
-				pivot = info.Attr
-				break
-			}
-		}
-		if pivot == "" {
-			return nil, Stats{}, errors.New("probe: no usable probing pivot (source empty?)")
-		}
-	}
-	c := New(src, rng)
+	c := New(src)
 	c.Parallelism = workers
 	rel, err := c.Collect(pivot)
 	if err != nil {
@@ -110,18 +85,20 @@ func Sample(src webdb.Source, pivot string, limit, workers int, rng *rand.Rand) 
 	return rel, st, nil
 }
 
-// New creates a collector over src with the given RNG (used for sampling).
-func New(src webdb.Source, rng *rand.Rand) *Collector {
-	return &Collector{src: src, rng: rng, SeedProbeLimit: 2000, Buckets: 20}
+// New creates a collector over src.
+func New(src webdb.Source) *Collector {
+	return &Collector{src: src, SeedProbeLimit: 2000, Buckets: 20}
 }
 
 // Collect probes the source with spanning queries over pivot (an attribute
 // name) and returns the probed relation containing every distinct tuple
 // retrieved. Duplicate tuples returned by overlapping probes are kept once.
+// With pivot "" it discovers one from the seed probe's tuples: the
+// lowest-cardinality attribute that shows at least two values. The first
+// failed spanning query fails the collect.
 func (c *Collector) Collect(pivot string) (*relation.Relation, error) {
 	sc := c.src.Schema()
-	attr, ok := sc.Index(pivot)
-	if !ok {
+	if _, ok := sc.Index(pivot); pivot != "" && !ok {
 		return nil, fmt.Errorf("probe: pivot attribute %q not in schema %s", pivot, sc)
 	}
 
@@ -132,6 +109,18 @@ func (c *Collector) Collect(pivot string) (*relation.Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("probe: seed query: %w", err)
 	}
+	if pivot == "" {
+		for _, info := range coverage(sc, seed) {
+			if info.DistinctInSeed >= 2 {
+				pivot = info.Attr
+				break
+			}
+		}
+		if pivot == "" {
+			return nil, errors.New("probe: no usable probing pivot (source empty?)")
+		}
+	}
+	attr, _ := sc.Index(pivot)
 
 	spanning, err := c.spanningQueries(sc, attr, seed)
 	if err != nil {
@@ -145,9 +134,8 @@ func (c *Collector) Collect(pivot string) (*relation.Relation, error) {
 		SpanningQueries: len(spanning),
 		Failures:        failures,
 	}
-	if failures > c.MaxFailures {
-		return nil, fmt.Errorf("probe: spanning queries failed %d times (tolerance %d): %w",
-			failures, c.MaxFailures, firstErr)
+	if firstErr != nil {
+		return nil, firstErr
 	}
 
 	out := relation.New(sc)
@@ -170,56 +158,40 @@ func (c *Collector) Collect(pivot string) (*relation.Relation, error) {
 	return out, nil
 }
 
-// runSpanning executes the spanning queries — concurrently when
-// Parallelism > 1 — and returns per-query results in query order, plus the
-// failure count and the first error observed.
+// runSpanning executes the spanning queries on Parallelism workers (at
+// least one) and returns per-query results in query order, plus the failure
+// count and the first error observed. Once a query has failed, no further
+// one reaches the source: a worker that takes a job after the failure skips
+// it, so one worker sends exactly the queries up to the failing one.
 func (c *Collector) runSpanning(spanning []*query.Query) ([][]relation.Tuple, int, error) {
 	results := make([][]relation.Tuple, len(spanning))
-	workers := c.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(spanning) {
-		workers = len(spanning)
-	}
-	if workers == 1 {
-		failures := 0
-		var firstErr error
-		for i, q := range spanning {
-			tuples, err := c.src.Query(q, c.PerQueryLimit)
-			if err != nil {
-				failures++
-				if firstErr == nil {
-					firstErr = fmt.Errorf("query %s: %w", q, err)
-				}
-				if failures > c.MaxFailures {
-					break // no point probing further
-				}
-				continue
-			}
-			results[i] = tuples
-		}
-		return results, failures, firstErr
-	}
-
+	workers := min(max(c.Parallelism, 1), len(spanning))
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		failures int
 		firstErr error
 	)
+	failed := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return firstErr != nil
+	}
 	jobs := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				tuples, err := c.src.Query(spanning[i], c.PerQueryLimit)
+				if failed() {
+					continue
+				}
+				tuples, err := c.src.Query(spanning[i], 0)
 				if err != nil {
 					mu.Lock()
 					failures++
 					if firstErr == nil {
-						firstErr = fmt.Errorf("query %s: %w", spanning[i], err)
+						firstErr = fmt.Errorf("probe: spanning query %s: %w", spanning[i], err)
 					}
 					mu.Unlock()
 					continue
@@ -234,17 +206,6 @@ func (c *Collector) runSpanning(spanning []*query.Query) ([][]relation.Tuple, in
 	close(jobs)
 	wg.Wait()
 	return results, failures, firstErr
-}
-
-// Samples draws simple random samples of the given sizes (without
-// replacement, independently per size) from rel. This mirrors the paper's
-// 15k/25k/50k subsets of CarDB.
-func (c *Collector) Samples(rel *relation.Relation, sizes ...int) []*relation.Relation {
-	out := make([]*relation.Relation, len(sizes))
-	for i, n := range sizes {
-		out[i] = rel.Sample(n, c.rng)
-	}
-	return out
 }
 
 func (c *Collector) spanningQueries(sc *relation.Schema, attr int, seed []relation.Tuple) ([]*query.Query, error) {
@@ -316,6 +277,12 @@ func PivotCoverage(src webdb.Source, seedLimit int) ([]PivotInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("probe: seed query: %w", err)
 	}
+	return coverage(sc, seed), nil
+}
+
+// coverage counts each attribute's distinct non-null values in seed, in
+// ascending order of that count.
+func coverage(sc *relation.Schema, seed []relation.Tuple) []PivotInfo {
 	out := make([]PivotInfo, 0, sc.Arity())
 	for a := 0; a < sc.Arity(); a++ {
 		seen := map[string]bool{}
@@ -327,7 +294,7 @@ func PivotCoverage(src webdb.Source, seedLimit int) ([]PivotInfo, error) {
 		out = append(out, PivotInfo{Attr: sc.Attr(a).Name, DistinctInSeed: len(seen)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].DistinctInSeed < out[j].DistinctInSeed })
-	return out, nil
+	return out
 }
 
 // PivotInfo describes one candidate pivot attribute.

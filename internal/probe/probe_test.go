@@ -41,7 +41,7 @@ func bigRel(n int, seed int64) *relation.Relation {
 func TestCollectCategoricalPivotCoversAll(t *testing.T) {
 	rel := bigRel(3000, 1)
 	src := &webdb.ProbeCounter{Src: webdb.NewLocal(rel)}
-	c := New(src, rand.New(rand.NewSource(2)))
+	c := New(src)
 	c.SeedProbeLimit = 3000 // seed sees everything => full coverage
 	got, err := c.Collect("Make")
 	if err != nil {
@@ -58,7 +58,7 @@ func TestCollectCategoricalPivotCoversAll(t *testing.T) {
 func TestCollectNumericPivotCoversAll(t *testing.T) {
 	rel := bigRel(2000, 3)
 	src := webdb.NewLocal(rel)
-	c := New(src, rand.New(rand.NewSource(4)))
+	c := New(src)
 	c.SeedProbeLimit = 2000
 	got, err := c.Collect("Year")
 	if err != nil {
@@ -77,7 +77,7 @@ func TestCollectDeduplicates(t *testing.T) {
 	rel.Append(tp)
 	rel.Append(tp.Clone())
 	rel.Append(relation.Tuple{relation.Cat("Honda"), relation.Cat("Civic"), relation.Numv(1999), relation.Numv(7000)})
-	c := New(webdb.NewLocal(rel), rand.New(rand.NewSource(5)))
+	c := New(webdb.NewLocal(rel))
 	got, err := c.Collect("Make")
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestCollectKeepsTuplesWithSeparatorBytes(t *testing.T) {
 		rel.Append(tp)
 	}
 	rel.Append(distinct[0].Clone())
-	c := New(webdb.NewLocal(rel), rand.New(rand.NewSource(5)))
+	c := New(webdb.NewLocal(rel))
 	got, err := c.Collect("Year")
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestCollectKeepsTuplesWithSeparatorBytes(t *testing.T) {
 
 func TestCollectPartialSeedStillWorks(t *testing.T) {
 	rel := bigRel(5000, 7)
-	c := New(webdb.NewLocal(rel), rand.New(rand.NewSource(8)))
+	c := New(webdb.NewLocal(rel))
 	c.SeedProbeLimit = 200 // seed sees a fraction; makes repeat, so spanning still covers all
 	got, err := c.Collect("Make")
 	if err != nil {
@@ -129,12 +129,12 @@ func TestCollectPartialSeedStillWorks(t *testing.T) {
 
 func TestCollectErrors(t *testing.T) {
 	rel := bigRel(100, 9)
-	c := New(webdb.NewLocal(rel), rand.New(rand.NewSource(10)))
+	c := New(webdb.NewLocal(rel))
 	if _, err := c.Collect("Ghost"); err == nil || !strings.Contains(err.Error(), "pivot") {
 		t.Errorf("unknown pivot error = %v", err)
 	}
 	empty := relation.New(carSchema())
-	ce := New(webdb.NewLocal(empty), rand.New(rand.NewSource(11)))
+	ce := New(webdb.NewLocal(empty))
 	if _, err := ce.Collect("Make"); err == nil {
 		t.Errorf("empty source should fail")
 	}
@@ -143,35 +143,29 @@ func TestCollectErrors(t *testing.T) {
 func TestCollectFlakySource(t *testing.T) {
 	rel := bigRel(1000, 12)
 	flaky := webdb.NewChaos(webdb.NewLocal(rel), webdb.ChaosConfig{FailEvery: 4})
-	c := New(flaky, rand.New(rand.NewSource(13)))
+	c := New(flaky)
 	c.SeedProbeLimit = 1000
-	// Zero tolerance: must surface the injected failure.
+	// Any failure must surface the injected failure.
 	if _, err := c.Collect("Make"); err == nil || !errors.Is(err, webdb.ErrInjected) {
-		t.Errorf("intolerant collector error = %v", err)
-	}
-	// With tolerance it completes, possibly with fewer tuples.
-	flaky2 := webdb.NewChaos(webdb.NewLocal(rel), webdb.ChaosConfig{FailEvery: 4})
-	c2 := New(flaky2, rand.New(rand.NewSource(14)))
-	c2.SeedProbeLimit = 1000
-	c2.MaxFailures = 10
-	got, err := c2.Collect("Make")
-	if err != nil {
-		t.Fatalf("tolerant collector failed: %v", err)
-	}
-	if got.Size() == 0 || got.Size() > rel.Size() {
-		t.Errorf("tolerant collector got %d tuples", got.Size())
+		t.Errorf("collector error = %v", err)
 	}
 }
 
-func TestSamples(t *testing.T) {
-	rel := bigRel(1000, 15)
-	c := New(webdb.NewLocal(rel), rand.New(rand.NewSource(16)))
-	samples := c.Samples(rel, 100, 500, 5000)
-	if len(samples) != 3 {
-		t.Fatalf("Samples returned %d relations", len(samples))
-	}
-	if samples[0].Size() != 100 || samples[1].Size() != 500 || samples[2].Size() != 1000 {
-		t.Errorf("sample sizes = %d,%d,%d", samples[0].Size(), samples[1].Size(), samples[2].Size())
+// TestSampleSendsSeedQueryOnce: pivot discovery reads the seed probe's own
+// tuples, so a Sample sends the unconstrained seed query once and then only
+// its spanning queries.
+func TestSampleSendsSeedQueryOnce(t *testing.T) {
+	rel := bigRel(5000, 3)
+	for _, workers := range []int{1, 4} {
+		src := &webdb.ProbeCounter{Src: webdb.NewLocal(rel)}
+		_, st, err := Sample(src, "", 0, workers, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got, want := src.Queries(), 1+int64(st.SpanningQueries); got != want {
+			t.Errorf("workers=%d: %d source queries for %d spanning queries, want %d",
+				workers, got, st.SpanningQueries, want)
+		}
 	}
 }
 
@@ -204,9 +198,9 @@ func TestPivotCoverageSourceError(t *testing.T) {
 
 func TestParallelCollectMatchesSequential(t *testing.T) {
 	rel := bigRel(4000, 41)
-	seq := New(webdb.NewLocal(rel), rand.New(rand.NewSource(42)))
+	seq := New(webdb.NewLocal(rel))
 	seq.SeedProbeLimit = 4000
-	par := New(&webdb.ProbeCounter{Src: webdb.NewLocal(rel)}, rand.New(rand.NewSource(42)))
+	par := New(&webdb.ProbeCounter{Src: webdb.NewLocal(rel)})
 	par.SeedProbeLimit = 4000
 	par.Parallelism = 6
 
@@ -232,40 +226,45 @@ func TestParallelCollectMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelCollectFlaky: a source that fails the k-th spanning query
+// fails the collect with the source's error, and no spanning query after
+// the failure reaches the source — at one worker, exactly k are sent.
 func TestParallelCollectFlaky(t *testing.T) {
 	rel := bigRel(2000, 43)
-	// Verify the failure tolerance accounting under parallelism with an
-	// always-failing source.
-	c := New(&failingSource{sc: rel.Schema()}, rand.New(rand.NewSource(44)))
-	c.SeedProbeLimit = 10
-	c.Parallelism = 4
-	if _, err := c.Collect("Make"); err == nil {
-		t.Errorf("all-failing source succeeded")
+	const k = 3
+	for _, workers := range []int{1, 4} {
+		src := &failNth{Source: webdb.NewLocal(rel), n: 1 + k} // call 1 is the seed probe
+		c := New(src)
+		c.Parallelism = workers
+		if _, err := c.Collect("Make"); !errors.Is(err, errBoom) {
+			t.Errorf("workers=%d: err = %v, want the source's error", workers, err)
+		}
+		if got := src.calls.Load() - 1; workers == 1 && got != k {
+			t.Errorf("workers=1: %d spanning queries reached the source, want %d", got, k)
+		}
 	}
 }
 
-// failingSource answers the seed probe and fails every spanning query.
-type failingSource struct {
-	sc    *relation.Schema
-	calls int32
+var errBoom = errors.New("boom")
+
+// failNth passes queries through to Source, failing only the n-th call.
+type failNth struct {
+	webdb.Source
+	n     int32
+	calls atomic.Int32
 }
 
-func (f *failingSource) Schema() *relation.Schema { return f.sc }
-
-func (f *failingSource) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
-	if atomic.AddInt32(&f.calls, 1) == 1 { // seed probe succeeds
-		return []relation.Tuple{{
-			relation.Cat("Toyota"), relation.Cat("Camry"),
-			relation.Numv(2000), relation.Numv(9000),
-		}}, nil
+func (f *failNth) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
+	if f.calls.Add(1) == f.n {
+		return nil, errBoom
 	}
-	return nil, errors.New("boom")
+	return f.Source.Query(q, limit)
 }
 
 func TestCollectRecordsStats(t *testing.T) {
 	rel := bigRel(1200, 11)
 	src := &webdb.ProbeCounter{Src: webdb.NewLocal(rel)}
-	c := New(src, rand.New(rand.NewSource(12)))
+	c := New(src)
 	c.SeedProbeLimit = 1200
 	got, err := c.Collect("Make")
 	if err != nil {
@@ -300,7 +299,7 @@ func TestCollectRecordsStats(t *testing.T) {
 func TestParallelCollectDeterministicAcrossWorkerCounts(t *testing.T) {
 	rel := bigRel(4000, 51)
 	collect := func(workers int) *relation.Relation {
-		c := New(webdb.NewLocal(rel), rand.New(rand.NewSource(7)))
+		c := New(webdb.NewLocal(rel))
 		c.SeedProbeLimit = 4000
 		c.Parallelism = workers
 		out, err := c.Collect("Make")

@@ -42,11 +42,11 @@ func WriteCSV(w io.Writer, r *Relation) error {
 func ReadCSV(rd io.Reader) (*Relation, error) {
 	cr := csv.NewReader(rd)
 	cr.ReuseRecord = false
-	names, err := cr.Read()
+	names, err := readRecord(cr)
 	if err != nil {
 		return nil, fmt.Errorf("read csv header: %w", err)
 	}
-	typesRow, err := cr.Read()
+	typesRow, err := readRecord(cr)
 	if err != nil {
 		return nil, fmt.Errorf("read csv type row: %w", err)
 	}
@@ -80,7 +80,7 @@ func ReadCSV(rd io.Reader) (*Relation, error) {
 		interned[i] = make(map[string]string)
 	}
 	for line := 3; ; line++ {
-		rec, err := cr.Read()
+		rec, err := readRecord(cr)
 		if err == io.EOF {
 			break
 		}
@@ -106,6 +106,22 @@ func ReadCSV(rd io.Reader) (*Relation, error) {
 		rel.Append(t)
 	}
 	return rel, nil
+}
+
+// readRecord reads one CSV record with every CR that precedes an LF
+// dropped. encoding/csv drops the CR of the CR LF ending each line, quoted
+// fields included, so a field read from "\r\r\n" keeps a CR LF that its
+// next write and read would lose; dropping them here makes every field
+// ReadCSV accepts one that WriteCSV reproduces.
+func readRecord(cr *csv.Reader) ([]string, error) {
+	rec, err := cr.Read()
+	for i, f := range rec {
+		for strings.Contains(f, "\r\n") {
+			f = strings.ReplaceAll(f, "\r\n", "\n")
+		}
+		rec[i] = f
+	}
+	return rec, err
 }
 
 // SaveCSV writes the relation to the named file.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -520,81 +519,6 @@ func TestReadCSVErrors(t *testing.T) {
 		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d: ReadCSV accepted malformed input %q", i, c)
 		}
-	}
-}
-
-func TestInferCSV(t *testing.T) {
-	const data = `Make,Model,Year,Price
-Toyota,Camry,2000,10000
-Honda,Accord,?,10500
-Ford,,2002,
-`
-	rel, err := InferCSV(strings.NewReader(data), 0)
-	if err != nil {
-		t.Fatalf("InferCSV: %v", err)
-	}
-	sc := rel.Schema()
-	if sc.Type(sc.MustIndex("Make")) != Categorical || sc.Type(sc.MustIndex("Price")) != Numeric {
-		t.Errorf("types inferred wrong: %s", sc)
-	}
-	// Year has a "?" but the rest parse: still numeric, with a null.
-	if sc.Type(sc.MustIndex("Year")) != Numeric {
-		t.Errorf("Year not numeric: %s", sc)
-	}
-	if !rel.Tuple(1)[sc.MustIndex("Year")].IsNull() {
-		t.Errorf("? not parsed as null")
-	}
-	if !rel.Tuple(2)[sc.MustIndex("Model")].IsNull() || !rel.Tuple(2)[sc.MustIndex("Price")].IsNull() {
-		t.Errorf("empty cells not null")
-	}
-	if rel.Size() != 3 {
-		t.Errorf("rows = %d", rel.Size())
-	}
-	capped, err := InferCSV(strings.NewReader(data), 2)
-	if err != nil || capped.Size() != 2 {
-		t.Errorf("maxRows ignored: %v, %v", capped, err)
-	}
-}
-
-func TestInferCSVAllNullColumn(t *testing.T) {
-	const data = "A,B\n?,1\n,2\n"
-	rel, err := InferCSV(strings.NewReader(data), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Schema().Type(0) != Categorical {
-		t.Errorf("all-null column should default to categorical")
-	}
-}
-
-func TestInferCSVErrors(t *testing.T) {
-	bad := []string{
-		"",          // no header
-		"A,\n1,2\n", // empty column name
-		"A\n",       // no data rows
-		"A,B\n1\n",  // ragged row
-	}
-	for i, s := range bad {
-		if _, err := InferCSV(strings.NewReader(s), 0); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-	if _, err := InferCSVFile("/does/not/exist.csv", 0); err == nil {
-		t.Errorf("missing file accepted")
-	}
-}
-
-func TestInferCSVFile(t *testing.T) {
-	path := t.TempDir() + "/plain.csv"
-	if err := os.WriteFile(path, []byte("X,Y\n1,a\n2,b\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rel, err := InferCSVFile(path, 0)
-	if err != nil || rel.Size() != 2 {
-		t.Fatalf("InferCSVFile: %v, %v", rel, err)
-	}
-	if rel.Schema().Type(0) != Numeric || rel.Schema().Type(1) != Categorical {
-		t.Errorf("inferred types: %s", rel.Schema())
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aimq/internal/core"
 	"aimq/internal/obs"
 	"aimq/internal/version"
 )
@@ -38,10 +39,10 @@ type serviceMetrics struct {
 	latency histogram
 	stages  stageHistograms
 
-	// Quality distributions, fed from finished traces: how deep relaxation
-	// had to go per answer, how many answers each query got, and where the
-	// Sim(Q,t) scores land. These turn the paper's §6 quality metrics into
-	// continuously scraped series.
+	// Quality distributions: how many answers each computed query got and
+	// where their Sim(Q,t) scores land, fed from every run's result, and how
+	// deep relaxation had to go per answer, fed from finished traces. These
+	// turn the paper's §6 quality metrics into continuously scraped series.
 	relaxDepth histogram
 	answersPer histogram
 	answerSim  histogram
@@ -56,13 +57,24 @@ var (
 	simBounds     = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1}
 )
 
-// observeQuality folds one finished trace into the quality histograms:
-// answers-per-query once, then per answer its Sim(Q,t) score and its
-// relaxation depth.
-func (m *serviceMetrics) observeQuality(t *obs.Trace) {
-	m.answersPer.Observe(float64(len(t.Answers)))
+// observeQuality folds one computed run's result into the quality
+// histograms: answers-per-query once (0 when the run returned no result),
+// then per answer its Sim(Q,t) score.
+func (m *serviceMetrics) observeQuality(res *core.Result) {
+	if res == nil {
+		m.answersPer.Observe(0)
+		return
+	}
+	m.answersPer.Observe(float64(len(res.Answers)))
+	for i := range res.Answers {
+		m.answerSim.Observe(res.Answers[i].Sim)
+	}
+}
+
+// observeDepth folds one finished trace into the relaxation-depth
+// histogram, one observation per answer.
+func (m *serviceMetrics) observeDepth(t *obs.Trace) {
 	for i := range t.Answers {
-		m.answerSim.Observe(t.Answers[i].Sim)
 		m.relaxDepth.Observe(float64(relaxDepth(t, &t.Answers[i])))
 	}
 }

@@ -443,22 +443,32 @@ func TestSlowQueryCounter(t *testing.T) {
 	}
 
 	// Under 1-in-1000 head sampling at most one of four computed answers is
-	// traced; every one of them is still slow, counted and logged.
+	// traced; every one of them is still slow, counted and logged, and
+	// every one feeds the answers-per-query and Sim histograms.
 	var logBuf bytes.Buffer
 	sampled := newService(t, rel, nil, Config{
 		SlowQuery: time.Nanosecond, TraceSample: 1000,
 		Logger: slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelWarn})),
 	})
+	served := 0
 	for _, q := range []string{"Model+like+Camry", "Model+like+Civic", "Make+like+Ford", "Price+like+9000"} {
-		if code, body := do(t, sampled, "GET", "/answer?q="+q, ""); code != http.StatusOK {
+		code, body := do(t, sampled, "GET", "/answer?q="+q, "")
+		if code != http.StatusOK {
 			t.Fatalf("%s: status %d: %v", q, code, body)
 		}
+		served += len(body["answers"].([]any))
 	}
 	if got := sampled.met.slowQueries.Load(); got != 4 {
 		t.Errorf("slow queries under sampling = %d, want 4", got)
 	}
 	if got := strings.Count(logBuf.String(), `msg="slow query"`); got != 4 {
 		t.Errorf("%d slow-query log lines under sampling, want 4:\n%s", got, logBuf.String())
+	}
+	if _, _, got := sampled.met.answersPer.snapshot(); got != 4 {
+		t.Errorf("answers_per_query count under sampling = %d, want 4", got)
+	}
+	if _, _, got := sampled.met.answerSim.snapshot(); got != int64(served) {
+		t.Errorf("answer_sim count under sampling = %d, want %d answers served", got, served)
 	}
 }
 

@@ -636,10 +636,11 @@ func (s *Service) bounds(req *answerRequest) (int, float64, error) {
 // The run is traced when the client asked for an explanation or when it
 // falls in the trace ring's head sample. An attached audit log forces the
 // recorder too, so every audited computation carries a trace ID and
-// relaxation-depth provenance. The finished trace feeds the per-stage
-// histograms; a sampled or explain trace also feeds the ring, and an
-// explain trace rides on the payload itself. Every run is timed on its own,
-// traced or not, for the slow-query counter and log.
+// relaxation-depth provenance. The finished trace feeds the per-stage and
+// relaxation-depth histograms; a sampled or explain trace also feeds the
+// ring, and an explain trace rides on the payload itself. Every run, traced
+// or not, feeds the answers-per-query and Sim histograms from its result,
+// and is timed on its own for the slow-query counter and log.
 func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Query, k int, tsim float64, traceID string, explain bool) (*answerPayload, error) {
 	cfg := s.cfg.Engine
 	cfg.K = k
@@ -665,6 +666,7 @@ func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Qu
 		s.met.relaxQueries.Add(int64(res.Work.QueriesIssued))
 		s.met.tuplesRead.Add(int64(res.Work.TuplesExtracted))
 	}
+	s.met.observeQuality(res)
 	var tr *obs.Trace
 	if rec != nil {
 		t := rec.Finish()
@@ -672,7 +674,7 @@ func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Qu
 		if explain || sampled {
 			s.ring.Add(t)
 		}
-		s.met.observeQuality(&t)
+		s.met.observeDepth(&t)
 		for name, d := range rec.SpanDurations() {
 			s.met.stages.Observe(name, d.Seconds())
 		}

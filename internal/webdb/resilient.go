@@ -7,12 +7,12 @@
 // battery:
 //
 //   - retry with exponential backoff and full jitter (RetryPolicy),
-//     per-attempt timeouts, Retry-After honored, and errors classified as
-//     retryable (transport, 5xx, 429) vs terminal (other 4xx, cancellation);
+//     Retry-After honored, and errors classified as retryable (transport,
+//     5xx, 429, the source's own timeout) vs terminal (other 4xx,
+//     cancellation);
 //   - a three-state circuit breaker (Breaker): closed → open on a
-//     consecutive-failure or error-rate threshold → half-open probe →
-//     closed, so a dead source fails fast instead of stalling every
-//     relaxation step;
+//     consecutive-failure threshold → half-open probe → closed, so a dead
+//     source fails fast instead of stalling every relaxation step;
 //   - counters (retries, fast-fails, breaker transitions) exported through
 //     internal/service /metrics, and per-query SourceEvents recorded into
 //     internal/obs traces so /answer?explain shows which steps were retried
@@ -101,11 +101,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps a single backoff sleep. Default 2s.
 	MaxDelay time.Duration
-	// PerAttempt bounds each attempt with its own deadline; expiry counts
-	// as a transient failure while the caller's context is still live, so a
-	// hung source costs one attempt, not the whole request budget. 0 = no
-	// per-attempt bound.
-	PerAttempt time.Duration
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -142,11 +137,11 @@ func (p RetryPolicy) Backoff(attempt int, after time.Duration) time.Duration {
 	return jittered
 }
 
-// Do runs op under the policy: per-attempt timeouts, classification via
-// Retryable, jittered exponential backoff between attempts. It reports how
-// many attempts were made alongside op's final error. The parent ctx bounds
-// the whole loop; a backoff sleep cut by cancellation returns the last
-// attempt's error rather than losing it.
+// Do runs op under the policy: classification via Retryable, jittered
+// exponential backoff between attempts. It reports how many attempts were
+// made alongside op's final error. The parent ctx bounds the whole loop; a
+// backoff sleep cut by cancellation returns the last attempt's error rather
+// than losing it.
 func (p RetryPolicy) Do(ctx context.Context, op func(ctx context.Context) error) (int, error) {
 	p = p.withDefaults()
 	attempts := 0
@@ -154,12 +149,7 @@ func (p RetryPolicy) Do(ctx context.Context, op func(ctx context.Context) error)
 		if err := ctx.Err(); err != nil {
 			return attempts, err
 		}
-		actx, cancel := ctx, context.CancelFunc(func() {})
-		if p.PerAttempt > 0 {
-			actx, cancel = context.WithTimeout(ctx, p.PerAttempt)
-		}
-		err := op(actx)
-		cancel()
+		err := op(ctx)
 		attempts++
 		if err == nil {
 			return attempts, nil
@@ -169,9 +159,9 @@ func (p RetryPolicy) Do(ctx context.Context, op func(ctx context.Context) error)
 		}
 		retry, after := Retryable(err)
 		if !retry {
-			// A per-attempt deadline expiring under a live parent is a slow
-			// source, not a cancelled caller: retrying is the point of the
-			// per-attempt bound.
+			// A deadline expiring under a live parent is the source's own
+			// timeout (an http.Client timeout wraps DeadlineExceeded), a
+			// slow source rather than a cancelled caller: retry it.
 			if !(errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil) {
 				return attempts, err
 			}
@@ -229,12 +219,6 @@ type BreakerConfig struct {
 	// FailureThreshold trips the breaker after this many consecutive
 	// failures. Default 5.
 	FailureThreshold int
-	// RateThreshold additionally trips when the failure fraction over a
-	// RateWindow of outcomes reaches it — catching a source that fails
-	// often but never quite consecutively. 0 disables rate tripping.
-	RateThreshold float64
-	// RateWindow is the number of outcomes per rate evaluation. Default 20.
-	RateWindow int
 	// OpenTimeout is how long an open breaker sheds before half-opening for
 	// a probe. Default 10s.
 	OpenTimeout time.Duration
@@ -246,9 +230,6 @@ type BreakerConfig struct {
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.FailureThreshold <= 0 {
 		c.FailureThreshold = 5
-	}
-	if c.RateWindow <= 0 {
-		c.RateWindow = 20
 	}
 	if c.OpenTimeout <= 0 {
 		c.OpenTimeout = 10 * time.Second
@@ -268,8 +249,6 @@ type Breaker struct {
 	mu          sync.Mutex
 	state       BreakerState
 	consecFails int
-	winFails    int
-	winTotal    int
 	openedAt    time.Time
 	probing     bool // a half-open probe is in flight
 	opens       int64
@@ -321,21 +300,15 @@ func (b *Breaker) Record(success bool) {
 		}
 		b.state = BreakerClosed
 		b.closes++
-		b.consecFails, b.winFails, b.winTotal = 0, 0, 0
+		b.consecFails = 0
 	case BreakerClosed:
-		b.winTotal++
 		if success {
 			b.consecFails = 0
 		} else {
 			b.consecFails++
-			b.winFails++
 		}
-		tripRate := b.cfg.RateThreshold > 0 && b.winTotal >= b.cfg.RateWindow &&
-			float64(b.winFails)/float64(b.winTotal) >= b.cfg.RateThreshold
-		if b.consecFails >= b.cfg.FailureThreshold || tripRate {
+		if b.consecFails >= b.cfg.FailureThreshold {
 			b.tripLocked()
-		} else if b.winTotal >= b.cfg.RateWindow {
-			b.winFails, b.winTotal = 0, 0
 		}
 	case BreakerOpen:
 		// A query admitted before the trip is finishing late; its outcome
@@ -347,7 +320,7 @@ func (b *Breaker) tripLocked() {
 	b.state = BreakerOpen
 	b.opens++
 	b.openedAt = b.cfg.now()
-	b.consecFails, b.winFails, b.winTotal = 0, 0, 0
+	b.consecFails = 0
 	b.probing = false
 }
 

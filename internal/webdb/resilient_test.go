@@ -125,23 +125,33 @@ func TestRetryPolicyCancelledBeforeStart(t *testing.T) {
 	}
 }
 
+// TestRetryPolicyPerAttemptTimeout: an attempt that times out on its own
+// (an http.Client timeout wraps context.DeadlineExceeded) under a live
+// parent is a slow source, so Do retries it. The same error once the parent
+// is cancelled is the caller giving up: no retry.
 func TestRetryPolicyPerAttemptTimeout(t *testing.T) {
-	// The op hangs until its per-attempt deadline; the parent stays live, so
-	// the expiry is a slow source (retryable), not caller cancellation.
-	p := RetryPolicy{
-		MaxAttempts: 2,
-		BaseDelay:   time.Microsecond,
-		MaxDelay:    10 * time.Microsecond,
-		PerAttempt:  5 * time.Millisecond,
-	}
-	calls := 0
-	attempts, err := p.Do(context.Background(), func(ctx context.Context) error {
-		calls++
-		<-ctx.Done()
-		return ctx.Err()
-	})
-	if !errors.Is(err, context.DeadlineExceeded) || attempts != 2 || calls != 2 {
-		t.Fatalf("per-attempt timeout: attempts %d calls %d err %v; want 2 attempts", attempts, calls, err)
+	p := RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond}
+	for _, tc := range []struct {
+		name         string
+		cancelParent bool
+		want         int // attempts and calls
+	}{
+		{"live parent", false, 2},
+		{"cancelled parent", true, 1},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		calls := 0
+		attempts, err := p.Do(ctx, func(context.Context) error {
+			calls++
+			if tc.cancelParent {
+				cancel()
+			}
+			return fmt.Errorf("source: %w", context.DeadlineExceeded)
+		})
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || attempts != tc.want || calls != tc.want {
+			t.Errorf("%s: attempts %d calls %d err %v; want %d of each", tc.name, attempts, calls, err, tc.want)
+		}
 	}
 }
 
@@ -229,22 +239,6 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	}
 	if b.Allow() {
 		t.Fatal("reopened breaker admitted a query without a fresh OpenTimeout")
-	}
-}
-
-func TestBreakerRateTrip(t *testing.T) {
-	// Never 3 consecutive failures, but 50% over the window.
-	b, _ := testBreaker(BreakerConfig{
-		FailureThreshold: 100, RateThreshold: 0.5, RateWindow: 10, OpenTimeout: time.Second,
-	})
-	for i := 0; i < 10; i++ {
-		if !b.Allow() {
-			t.Fatalf("denied at %d before the window filled", i)
-		}
-		b.Record(i%2 == 0) // alternate success/failure
-	}
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after 50%% failures over the window = %v, want open", b.State())
 	}
 }
 
