@@ -102,11 +102,13 @@ bench-quick:
 # answer table; ~866 without the pool, ~1,060 when every retrieval was
 # keyed into a per-request gate table, 2,888 when every tuple key was
 # rebuilt by string concatenation), and one traced cold answer through
-# the service under 4000 (measured ~2,165; 5,768 when every step's query
-# was rendered through fmt and every step kept its own engine plan).
+# the service under 2550 (measured ~1,700 with each step kept as a
+# pointer-free record and its text rendered on read; ~2,165 when every
+# step kept its query text and engine EXPLAIN, 5,768 when every step's
+# query was rendered through fmt and every step kept its own engine plan).
 bench-check:
 	$(GO) run -ldflags '$(LDFLAGS)' ./cmd/aimq-bench -quick -out bench-results \
-		-baseline bench/baseline -threshold 2 -alloc-gate serve-warm=16,engine-scan=64,guided=1000,serve-cold=4000
+		-baseline bench/baseline -threshold 2 -alloc-gate serve-warm=16,engine-scan=64,guided=1000,serve-cold=2550
 
 baseline:
 	$(GO) run -ldflags '$(LDFLAGS)' ./cmd/aimq-bench -quick -out bench/baseline

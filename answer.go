@@ -93,7 +93,7 @@ func (db *DB) AskQuery(q *query.Query) (*Answers, error) {
 		return nil, err
 	}
 	out := db.convert(res)
-	for _, step := range rec.Finish().Steps {
+	for _, step := range rec.Finish().RelaxSteps() {
 		out.Trace = append(out.Trace, TraceStep{
 			Query:     step.Query,
 			Extracted: step.Extracted,

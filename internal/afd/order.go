@@ -237,18 +237,13 @@ func (o *Ordering) RelaxationSets(k int, candidates relation.AttrSet) []relation
 	return out
 }
 
-// AllRelaxations concatenates the 1..maxK attribute relaxation orders over
-// the candidate attributes: the complete schedule Algorithm 1 walks until it
-// has enough tuples. maxK is clamped to |candidates|−1 so at least one
-// constraint always survives (relaxing everything is an unconstrained scan,
-// never useful).
-func (o *Ordering) AllRelaxations(maxK int, candidates relation.AttrSet) []relation.AttrSet {
-	limit := candidates.Size() - 1
-	if maxK > limit {
-		maxK = limit
-	}
+// AllRelaxations concatenates the 1..|candidates|−1 attribute relaxation
+// orders over the candidate attributes: the complete schedule Algorithm 1
+// walks until it has enough tuples. At least one constraint always survives
+// (relaxing everything is an unconstrained scan, never useful).
+func (o *Ordering) AllRelaxations(candidates relation.AttrSet) []relation.AttrSet {
 	var out []relation.AttrSet
-	for k := 1; k <= maxK; k++ {
+	for k := 1; k < candidates.Size(); k++ {
 		out = append(out, o.RelaxationSets(k, candidates)...)
 	}
 	return out

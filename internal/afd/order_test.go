@@ -292,7 +292,7 @@ func TestAllRelaxations(t *testing.T) {
 		t.Fatal(err)
 	}
 	cand := relation.NewAttrSet(0, 1, 2, 3)
-	got := o.AllRelaxations(10, cand) // clamped to 3: C(4,1)+C(4,2)+C(4,3) = 4+6+4
+	got := o.AllRelaxations(cand) // depths 1 to 3: C(4,1)+C(4,2)+C(4,3) = 4+6+4
 	if len(got) != 14 {
 		t.Fatalf("AllRelaxations = %d sets", len(got))
 	}

@@ -92,7 +92,8 @@ func TestChaosEndToEnd(t *testing.T) {
 				t.Fatalf("rate %g, query %d: nil result with nil error", rate, qi)
 			}
 			totalAnswers += len(result.Answers)
-			checkConsistency(t, rate, qi, result, rec.Finish().Steps)
+			tr := rec.Finish()
+			checkConsistency(t, rate, qi, result, tr.RelaxSteps())
 		}
 		if prevAnswers >= 0 && totalAnswers > prevAnswers {
 			t.Errorf("answers grew with the failure rate: %d at rate %g > %d at the previous rate",

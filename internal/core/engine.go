@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"aimq/internal/obs"
 	"aimq/internal/query"
@@ -181,11 +182,13 @@ func (e *Engine) Answer(q *query.Query) (*Result, error) {
 //
 // When the context carries an obs.Recorder (obs.WithRecorder), the run is
 // traced: stage spans (base_set, relax, rank), every base-query probe, every
-// relaxation step with the dropped attributes and their importance weights,
-// and a per-attribute score decomposition of each returned answer. Without
-// a recorder the instrumentation is free — zero additional allocations
-// (BenchmarkAnswerNoRecorder). The recorder is also the only step trace:
-// callers that want the per-step record read the recorder's Steps.
+// relaxation step as a compact record (its base tuple, dropped attributes
+// and counts; the trace renders the query text and importance weights on
+// read), and a per-attribute score decomposition of each returned answer.
+// Without a recorder the instrumentation is free — zero additional
+// allocations (BenchmarkAnswerNoRecorder). The recorder is also the only
+// step trace: callers that want the steps read the finished trace's
+// RelaxSteps.
 func (e *Engine) AnswerContext(ctx context.Context, q *query.Query) (*Result, error) {
 	cfg := e.Cfg.withDefaults()
 	res := &Result{Query: q}
@@ -238,27 +241,15 @@ func (e *Engine) AnswerContext(ctx context.Context, q *query.Query) (*Result, er
 		return i, isNew
 	}
 
-	// Tracing state: each distinct dropped set's rendered attribute list —
-	// the schedule repeats the same drop sets for every base tuple, so their
-	// records share one slice. Only materialized when a recorder is
-	// installed.
-	var dropped map[relation.AttrSet][]obs.DroppedAttr
-	droppedFor := func(drop relation.AttrSet) []obs.DroppedAttr {
-		d, ok := dropped[drop]
-		if !ok {
-			d = e.droppedAttrs(drop)
-			dropped[drop] = d
-		}
-		return d
-	}
-	if rec.Active() {
-		dropped = make(map[relation.AttrSet][]obs.DroppedAttr)
-	}
-
 	// Base-set tuples are answers by construction.
 	limit := cfg.BaseLimit
 	if limit > len(base) {
 		limit = len(base)
+	}
+	if rec.Active() {
+		// A traced step records its base tuple and drop set; the trace
+		// renders its query and dropped attributes from them on read.
+		rec.SetStepRenderer(e.stepRenderer(base[:limit]))
 	}
 	for _, t := range base {
 		i, _ := add(t, 1)
@@ -320,13 +311,12 @@ expansion:
 				res.Work.SourceFailures++
 				shed := errors.Is(err, webdb.ErrBreakerOpen)
 				if rec.Active() {
-					rec.AddStep(obs.RelaxStep{
-						Base:      bi,
-						Dropped:   droppedFor(drop),
-						Query:     rq.String(),
+					rec.AddStep(obs.StepRecord{
+						Drop:      drop,
+						ElapsedNs: int64(rec.Since() - stepStart),
+						Base:      int32(bi),
 						Failed:    true,
 						Shed:      shed,
-						ElapsedMs: float64(rec.Since()-stepStart) / 1e6,
 					})
 				}
 				if cfg.OnFailure == FailDegrade {
@@ -366,14 +356,13 @@ expansion:
 				}
 			}
 			if rec.Active() {
-				idx := rec.AddStep(obs.RelaxStep{
-					Base:      bi,
-					Dropped:   droppedFor(drop),
-					Query:     rq.String(),
-					Extracted: len(tuples),
-					Qualified: stepQualified,
-					DupHits:   stepDups,
-					ElapsedMs: float64(rec.Since()-stepStart) / 1e6,
+				idx := rec.AddStep(obs.StepRecord{
+					Drop:      drop,
+					ElapsedNs: int64(rec.Since() - stepStart),
+					Base:      int32(bi),
+					Extracted: int32(len(tuples)),
+					Qualified: int32(stepQualified),
+					DupHits:   int32(stepDups),
 				})
 				for i := range as.found[stepFound:] {
 					as.found[stepFound+i].step = int32(idx)
@@ -475,20 +464,16 @@ func (pb pruneBound) upperBound(drop relation.AttrSet) float64 {
 	return ub
 }
 
-// droppedAttrs renders a relaxed attribute set with the mined importance
-// weight of each attribute, for trace records. Only called under an active
-// recorder.
-func (e *Engine) droppedAttrs(drop relation.AttrSet) []obs.DroppedAttr {
-	sc := e.Src.Schema()
-	out := make([]obs.DroppedAttr, 0, drop.Size())
-	for _, a := range drop.Members() {
-		w := 0.0
-		if ord := e.Est.Ordering; ord != nil && a < len(ord.Wimp) {
-			w = ord.Wimp[a]
-		}
-		out = append(out, obs.DroppedAttr{Attr: sc.Attr(a).Name, Wimp: w})
+// stepRenderer is what a traced request expanding base issues its steps
+// from: the schema, the base tuples and the importance weights of the
+// model that answers. The base slice is copied so a retained trace does not
+// keep the rest of the base set.
+func (e *Engine) stepRenderer(base []relation.Tuple) obs.StepRenderer {
+	r := obs.StepRenderer{Schema: e.Src.Schema(), Base: slices.Clone(base)}
+	if ord := e.Est.Ordering; ord != nil {
+		r.Wimp = ord.Wimp
 	}
-	return out
+	return r
 }
 
 // baseSet maps Q to the precise query Qpr and returns its answers. If Qpr

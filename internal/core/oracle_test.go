@@ -27,7 +27,9 @@ import (
 // fromBase/foundBy maps, a full sort of every qualified answer, and
 // importance weights recomputed on every Sim/SimTuples call. The only edits
 // are the weights passed explicitly (per call, as the old signatures
-// computed them) and the removed Config.Trace record.
+// computed them), the removed Config.Trace record, and each step recorded
+// as the obs.StepRecord a trace keeps, rendered by the engine's step
+// renderer.
 func oracleAnswerContext(e *Engine, ctx context.Context, q *query.Query) (*Result, error) {
 	cfg := e.Cfg.withDefaults()
 	res := &Result{Query: q}
@@ -100,6 +102,9 @@ func oracleAnswerContext(e *Engine, ctx context.Context, q *query.Query) (*Resul
 	if limit > len(base) {
 		limit = len(base)
 	}
+	if rec.Active() {
+		rec.SetStepRenderer(e.stepRenderer(base[:limit]))
+	}
 	for _, t := range base {
 		k, _ := add(t, 1)
 		if fromBase != nil {
@@ -159,13 +164,12 @@ expansion:
 				res.Work.SourceFailures++
 				shed := errors.Is(err, webdb.ErrBreakerOpen)
 				if rec.Active() {
-					rec.AddStep(obs.RelaxStep{
-						Base:      bi,
-						Dropped:   e.droppedAttrs(drop),
-						Query:     rq.String(),
+					rec.AddStep(obs.StepRecord{
+						Drop:      drop,
+						ElapsedNs: int64(rec.Since() - stepStart),
+						Base:      int32(bi),
 						Failed:    true,
 						Shed:      shed,
-						ElapsedMs: float64(rec.Since()-stepStart) / 1e6,
 					})
 				}
 				if cfg.OnFailure == FailDegrade {
@@ -205,14 +209,13 @@ expansion:
 				}
 			}
 			if rec.Active() {
-				idx := rec.AddStep(obs.RelaxStep{
-					Base:      bi,
-					Dropped:   e.droppedAttrs(drop),
-					Query:     rq.String(),
-					Extracted: len(tuples),
-					Qualified: stepQualified,
-					DupHits:   stepDups,
-					ElapsedMs: float64(rec.Since()-stepStart) / 1e6,
+				idx := rec.AddStep(obs.StepRecord{
+					Drop:      drop,
+					ElapsedNs: int64(rec.Since() - stepStart),
+					Base:      int32(bi),
+					Extracted: int32(len(tuples)),
+					Qualified: int32(stepQualified),
+					DupHits:   int32(stepDups),
 				})
 				for _, k := range stepKeys {
 					foundBy[k] = append(foundBy[k], idx)
@@ -340,13 +343,13 @@ func TestRankingMatchesOracle(t *testing.T) {
 					K: k, Tsim: 0.4, BaseLimit: 4, PerQueryLimit: 60,
 				})
 				for _, traced := range []bool{false, true} {
-					got, gotTr := runTraced(t, traced, q, eng.AnswerContext)
-					want, wantTr := runTraced(t, traced, q, func(ctx context.Context, q *query.Query) (*Result, error) {
+					got, gotTr, gotSteps := runTraced(t, traced, q, eng.AnswerContext)
+					want, wantTr, wantSteps := runTraced(t, traced, q, func(ctx context.Context, q *query.Query) (*Result, error) {
 						return oracleAnswerContext(eng, ctx, q)
 					})
 					where := fmt.Sprintf("seed %d, %q, k=%d, traced=%v", seed, q, k, traced)
 					compareResults(t, where, got, want)
-					if !reflect.DeepEqual(gotTr.Steps, wantTr.Steps) {
+					if !reflect.DeepEqual(gotSteps, wantSteps) {
 						t.Errorf("%s: relaxation step records differ", where)
 					}
 					if len(gotTr.Answers) != len(wantTr.Answers) {
@@ -360,7 +363,7 @@ func TestRankingMatchesOracle(t *testing.T) {
 						}
 						bases := map[int]bool{}
 						for _, s := range a.Steps {
-							b := gotTr.Steps[s].Base
+							b := gotSteps[s].Base
 							if bases[b] {
 								sameBase++
 							}
@@ -370,7 +373,7 @@ func TestRankingMatchesOracle(t *testing.T) {
 							multiBase++
 						}
 						if !a.FromBase && len(a.Steps) > 0 {
-							first := got.Base[gotTr.Steps[a.Steps[0]].Base]
+							first := got.Base[gotSteps[a.Steps[0]].Base]
 							if a.BaseSim > est.SimTuples(first, got.Answers[i].Tuple, gateWeights) {
 								raised++
 							}
@@ -471,9 +474,9 @@ func oraclePipeline(t testing.TB, rel *relation.Relation) (*afd.Ordering, *simil
 }
 
 // runTraced answers q, under a fresh recorder when traced, and returns the
-// result with the finished trace, step and engine timings zeroed for
-// comparison.
-func runTraced(t *testing.T, traced bool, q *query.Query, answer func(context.Context, *query.Query) (*Result, error)) (*Result, obs.Trace) {
+// result with the finished trace and its rendered relaxation steps, step
+// and engine timings zeroed for comparison.
+func runTraced(t *testing.T, traced bool, q *query.Query, answer func(context.Context, *query.Query) (*Result, error)) (*Result, obs.Trace, []obs.RelaxStep) {
 	t.Helper()
 	ctx := context.Background()
 	var rec *obs.Recorder
@@ -486,13 +489,20 @@ func runTraced(t *testing.T, traced bool, q *query.Query, answer func(context.Co
 		t.Fatalf("%q: %v", q, err)
 	}
 	tr := rec.Finish()
-	for i := range tr.Steps {
-		tr.Steps[i].ElapsedMs = 0
-		if ex := tr.Steps[i].Engine; ex != nil {
+	return res, tr, untimedSteps(&tr)
+}
+
+// untimedSteps renders a trace's relaxation steps with the step and engine
+// timings zeroed.
+func untimedSteps(tr *obs.Trace) []obs.RelaxStep {
+	steps := tr.RelaxSteps()
+	for i := range steps {
+		steps[i].ElapsedMs = 0
+		if ex := steps[i].Engine; ex != nil {
 			ex.ElapsedUs = 0
 		}
 	}
-	return res, tr
+	return steps
 }
 
 // compareResults requires bit-identical answers and identical work stats.

@@ -50,7 +50,7 @@ func (g *Guided) Name() string { return "GuidedRelax" }
 // Schedule implements Relaxer: relaxations down to |bound|−1 dropped
 // attributes, the deepest useful level.
 func (g *Guided) Schedule(bound relation.AttrSet) []relation.AttrSet {
-	return g.Ord.AllRelaxations(bound.Size()-1, bound)
+	return g.Ord.AllRelaxations(bound)
 }
 
 // Chain implements Relaxer: attributes drop in mined importance order.

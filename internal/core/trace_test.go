@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"aimq/internal/afd"
@@ -89,11 +90,11 @@ func TestAnswerContextRecordsTrace(t *testing.T) {
 
 	// One step per issued relaxation query (base probes are separate).
 	baseProbes := len(tr.BaseProbe)
-	if got, want := len(tr.Steps), res.Work.QueriesIssued-baseProbes; got != want {
+	if got, want := tr.NumSteps(), res.Work.QueriesIssued-baseProbes; got != want {
 		t.Errorf("steps = %d, want %d (%d issued − %d base probes)", got, want, res.Work.QueriesIssued, baseProbes)
 	}
 	extracted, qualified := 0, 0
-	for i, s := range tr.Steps {
+	for i, s := range tr.RelaxSteps() {
 		if s.Step != i {
 			t.Errorf("step %d has index %d", i, s.Step)
 		}
@@ -139,8 +140,8 @@ func TestAnswerContextRecordsTrace(t *testing.T) {
 			t.Errorf("answer %d has no provenance: not from base and no steps", i)
 		}
 		for _, s := range ae.Steps {
-			if s < 0 || s >= len(tr.Steps) {
-				t.Errorf("answer %d references step %d outside [0,%d)", i, s, len(tr.Steps))
+			if s < 0 || s >= tr.NumSteps() {
+				t.Errorf("answer %d references step %d outside [0,%d)", i, s, tr.NumSteps())
 			}
 		}
 	}
@@ -199,7 +200,7 @@ func TestEnginePlansSharedWithinTrace(t *testing.T) {
 	arrays := map[*obs.EnginePlanTerm]bool{}
 	byContent := map[string]*obs.EnginePlanTerm{}
 	steps := 0
-	for _, st := range tr.Steps {
+	for _, st := range tr.RelaxSteps() {
 		if st.Engine == nil || len(st.Engine.Plan) == 0 {
 			continue
 		}
@@ -237,6 +238,152 @@ func TestEnginePlansSharedWithinTrace(t *testing.T) {
 			steps, len(arrays), len(byContent))
 	}
 	t.Logf("%d steps over %d base tuples share %d plan arrays", steps, len(res.Base), len(arrays))
+}
+
+// issuedLog answers from Source and logs the text of every query sent.
+type issuedLog struct {
+	webdb.Source
+	texts []string
+}
+
+func (l *issuedLog) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
+	l.texts = append(l.texts, q.String())
+	return l.Source.Query(q, limit)
+}
+
+// droppedAttrsOracle is how a step's dropped attributes were rendered when
+// every step kept them: each member of drop with the engine's mined
+// importance weight.
+func droppedAttrsOracle(e *Engine, drop relation.AttrSet) []obs.DroppedAttr {
+	sc := e.Src.Schema()
+	out := make([]obs.DroppedAttr, 0, drop.Size())
+	for _, a := range drop.Members() {
+		w := 0.0
+		if ord := e.Est.Ordering; ord != nil && a < len(ord.Wimp) {
+			w = ord.Wimp[a]
+		}
+		out = append(out, obs.DroppedAttr{Attr: sc.Attr(a).Name, Wimp: w})
+	}
+	return out
+}
+
+// TestStepRenderingMatchesIssuedQueries: a trace renders its steps' text on
+// read, so it must reproduce what was issued. Over seeded random relations
+// with nulls, every rendered step of a traced answer names the query the
+// source was sent for it, and for steps over random base tuples and drop
+// sets (empty, full and unbound attributes included) the rendered query and
+// dropped attributes equal query.FromTuple(sc, base).DropAttrs(drop).String()
+// and the old eager rendering.
+func TestStepRenderingMatchesIssuedQueries(t *testing.T) {
+	var steps, nullBases int
+	for _, seed := range []int64{1, 2, 3, 4} {
+		rel := oracleDB(300, seed)
+		sc := rel.Schema()
+		ord, est := oraclePipeline(t, rel)
+		src := &issuedLog{Source: webdb.NewLocal(rel)}
+		eng := New(src, est, &Guided{Ord: ord}, Config{K: 5, Tsim: 0.4, BaseLimit: 4, PerQueryLimit: 60})
+		for _, q := range oracleQueries(rel, 6, seed) {
+			src.texts = nil
+			rec := obs.NewRecorder("render", q.String())
+			res, err := eng.AnswerContext(obs.WithRecorder(context.Background(), rec), q)
+			if err != nil {
+				t.Fatalf("seed %d, %q: %v", seed, q, err)
+			}
+			tr := rec.Finish()
+			issued := src.texts[len(tr.BaseProbe):]
+			rendered := tr.RelaxSteps()
+			if len(rendered) != len(issued) {
+				t.Fatalf("seed %d, %q: %d rendered steps, %d relaxation queries issued", seed, q, len(rendered), len(issued))
+			}
+			for i, st := range rendered {
+				if st.Query != issued[i] {
+					t.Errorf("seed %d, %q, step %d: rendered %q, issued %q", seed, q, i, st.Query, issued[i])
+				}
+				if len(st.Dropped) != tr.StepDrops(i) {
+					t.Errorf("seed %d, %q, step %d: %d dropped attributes, record drops %d", seed, q, i, len(st.Dropped), tr.StepDrops(i))
+				}
+			}
+			steps += len(rendered)
+			for _, b := range res.Base[:min(len(res.Base), eng.Cfg.BaseLimit)] {
+				if slices.ContainsFunc(b, relation.Value.IsNull) {
+					nullBases++
+				}
+			}
+		}
+
+		rng := rand.New(rand.NewSource(seed))
+		full := uint64(1)<<sc.Arity() - 1
+		rec := obs.NewRecorder("drops", "")
+		var bases []relation.Tuple
+		var drops []relation.AttrSet
+		for i := 0; i < 300; i++ {
+			base := rel.Tuple(rng.Intn(rel.Size()))
+			drop := relation.AttrSet(rng.Uint64() & full)
+			switch i {
+			case 0:
+				drop = 0
+			case 1:
+				drop = relation.AttrSet(full)
+			}
+			bases = append(bases, base)
+			drops = append(drops, drop)
+			rec.AddStep(obs.StepRecord{Drop: drop, Base: int32(i)})
+		}
+		rec.SetStepRenderer(eng.stepRenderer(bases))
+		for i, st := range rec.Finish().RelaxSteps() {
+			if want := query.FromTuple(sc, bases[i]).DropAttrs(drops[i]).String(); st.Query != want {
+				t.Errorf("seed %d: base %v drop %b: query %q, want %q", seed, bases[i], drops[i], st.Query, want)
+			}
+			if want := droppedAttrsOracle(eng, drops[i]); !reflect.DeepEqual(st.Dropped, want) {
+				t.Errorf("seed %d: drop %b: dropped %+v, want %+v", seed, drops[i], st.Dropped, want)
+			}
+		}
+	}
+	if steps < 200 || nullBases == 0 {
+		t.Errorf("coverage: %d rendered steps, %d expanded base tuples with nulls; want at least 200 and 1", steps, nullBases)
+	}
+}
+
+// TestTracedStepAllocs: a traced answer allocates at most one object per
+// issued relaxation step more than the untraced answer. A step record is an
+// append to a flat slice, its text is rendered on read, its engine EXPLAIN
+// is kept inline and a repeated engine plan compiles into the recorder's
+// spare buffer; the per-request costs (recorder, spans, answer
+// explanations) spread over hundreds of steps.
+func TestTracedStepAllocs(t *testing.T) {
+	rel := datagen.GenerateCarDB(4000, 1).Rel
+	ord, err := afd.Order(tane.Miner{Terr: 0.25, MaxLHS: 2}.Mine(rel))
+	if err != nil {
+		t.Fatalf("Order: %v", err)
+	}
+	est := similarity.New(supertuple.Builder{Buckets: 10}.Build(rel), ord, similarity.Config{})
+	eng := New(webdb.NewLocal(rel), est, &Guided{Ord: ord}, Config{K: 10, Tsim: 0.5})
+	q, err := query.Parse(rel.Schema(), "Model like Camry, Year like 1999")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	answer := func(ctx context.Context) {
+		if _, err := eng.AnswerContext(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	answer(ctx) // warm the answer-table pool
+	untraced := testing.AllocsPerRun(10, func() { answer(ctx) })
+	steps := 0
+	traced := testing.AllocsPerRun(10, func() {
+		rec := obs.NewRecorder("allocs", "q")
+		answer(obs.WithRecorder(ctx, rec))
+		steps = rec.Finish().NumSteps()
+	})
+	perStep := (traced - untraced) / float64(steps)
+	t.Logf("%d steps: %.0f allocs untraced, %.0f traced, %.3f more per step", steps, untraced, traced, perStep)
+	if steps < 100 {
+		t.Fatalf("only %d steps; the fixture should issue hundreds", steps)
+	}
+	if perStep > 1 {
+		t.Errorf("tracing costs %.3f allocations per step, want at most 1", perStep)
+	}
 }
 
 // BenchmarkAnswerNoRecorder measures the full Algorithm 1 hot path with the

@@ -31,6 +31,7 @@ package engine
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -292,12 +293,13 @@ func planTerm(ex *obs.EngineExec, s *relation.Schema, attr int, op query.Op, acc
 // compile turns the query into a columnar plan. A dictionary miss on an
 // equality predicate (or an in-list with no present alternative) marks the
 // plan empty — the short-circuit that makes absent-value probes free. When
-// ex is non-nil the chosen access path of every predicate is recorded.
+// ex is non-nil the chosen access path of every predicate is recorded in
+// ex.Plan, reusing its array when it has room.
 func (e *Engine) compile(q *query.Query, ex *obs.EngineExec) colPlan {
 	var p colPlan
 	s := q.Schema
 	if ex != nil {
-		ex.Plan = make([]obs.EnginePlanTerm, 0, len(q.Preds))
+		ex.Plan = slices.Grow(ex.Plan[:0], len(q.Preds))
 	}
 	for _, pr := range q.Preds {
 		cat := s.Type(pr.Attr) == relation.Categorical

@@ -65,7 +65,8 @@ func (e *Engine) foldExec(ec *execCounters) {
 
 // ExecuteExplained is Execute that also fills ex, when non-nil, with the
 // compiled plan and the per-chunk execution counters — the engine's EXPLAIN
-// ANALYZE, in the form traces carry.
+// ANALYZE, in the form traces carry. The plan is compiled into ex.Plan's
+// array when it has room (see obs.Recorder.PlanBuffer).
 func (e *Engine) ExecuteExplained(q *query.Query, limit int, ex *obs.EngineExec) []int {
 	e.buildOnce.Do(e.build)
 	e.stats.Queries.Add(1)

@@ -96,7 +96,6 @@ func Build(src webdb.Source, cfg Config) (*Model, error) {
 	r.span("sample", r.start.Add(ps.ProbeTime), ps.CapTime)
 	r.stats.SeedTuples = ps.SeedTuples
 	r.stats.SpanningQueries = ps.SpanningQueries
-	r.stats.ProbeFailures = ps.Failures
 	r.stats.ProbedTuples = ps.ProbedTuples
 	cfg.Pivot = ps.Pivot
 	return r.learn(sample, cfg.withDefaults())

@@ -15,7 +15,7 @@ func BenchmarkNilRecorder(b *testing.B) {
 		rec := FromContext(ctx)
 		sp := rec.StartSpan("base_set")
 		rec.SetBase("q", 1)
-		rec.AddStep(RelaxStep{})
+		rec.AddStep(StepRecord{})
 		sp.End()
 	}
 }
@@ -27,7 +27,7 @@ func BenchmarkActiveRecorder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec := NewRecorder("id", "q")
 		sp := rec.StartSpan("relax")
-		rec.AddStep(RelaxStep{Query: "q", Extracted: 3, Qualified: 1})
+		rec.AddStep(StepRecord{Extracted: 3, Qualified: 1})
 		sp.End()
 		rec.Finish()
 	}

@@ -56,8 +56,8 @@ func WriteChromeTrace(w io.Writer, traces []Trace) error {
 			rootArgs["base_query"] = t.BaseQuery
 			rootArgs["base_count"] = t.BaseCount
 		}
-		if len(t.Steps) > 0 {
-			rootArgs["relax_steps"] = len(t.Steps)
+		if n := t.NumSteps(); n > 0 {
+			rootArgs["relax_steps"] = n
 		}
 		if len(t.Answers) > 0 {
 			rootArgs["answers"] = len(t.Answers)

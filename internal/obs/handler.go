@@ -25,7 +25,7 @@ func HandleTraces(mux *http.ServeMux, ring *Ring) {
 	}
 	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, _ *http.Request) {
 		recent, slowest := ring.Snapshot()
-		writeJSON(w, http.StatusOK, map[string]any{"retained": len(recent), "recent": recent, "slowest": slowest})
+		writeJSON(w, http.StatusOK, map[string]any{"retained": len(recent), "recent": renderAll(recent), "slowest": renderAll(slowest)})
 	})
 	mux.HandleFunc("GET /debug/traces/export", func(w http.ResponseWriter, _ *http.Request) {
 		recent, slowest := ring.Snapshot()
@@ -47,6 +47,19 @@ func HandleTraces(mux *http.ServeMux, ring *Ring) {
 		w.Header().Set("Content-Disposition", `attachment; filename="aimq-traces.json"`)
 		_ = WriteChromeTrace(w, traces)
 	})
+}
+
+// renderAll renders each trace's relaxation steps for writing; nil stays
+// nil, so the JSON says null where it did for the traces themselves.
+func renderAll(traces []Trace) []RenderedTrace {
+	if traces == nil {
+		return nil
+	}
+	out := make([]RenderedTrace, len(traces))
+	for i, t := range traces {
+		out[i] = t.Render()
+	}
+	return out
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aimq/internal/relation"
 )
 
 func TestNilRecorderIsSafeNoOp(t *testing.T) {
@@ -19,12 +21,17 @@ func TestNilRecorderIsSafeNoOp(t *testing.T) {
 	sp.End()
 	r.BaseProbe("q", 1, false)
 	r.SetBase("q", 1)
-	if idx := r.AddStep(RelaxStep{}); idx != -1 {
+	r.SetStepRenderer(StepRenderer{})
+	if buf := r.PlanBuffer(); buf != nil {
+		t.Errorf("PlanBuffer on nil = %v, want nil", buf)
+	}
+	r.AddEngineExec(&EngineExec{})
+	if idx := r.AddStep(StepRecord{}); idx != -1 {
 		t.Errorf("AddStep on nil = %d, want -1", idx)
 	}
 	r.AddAnswer(AnswerExplain{})
 	r.SetError(errors.New("boom"))
-	if tr := r.Finish(); tr.ID != "" || len(tr.Steps) != 0 {
+	if tr := r.Finish(); tr.ID != "" || tr.NumSteps() != 0 {
 		t.Errorf("nil Finish returned non-zero trace %+v", tr)
 	}
 	if d := r.SpanDurations(); d != nil {
@@ -60,8 +67,8 @@ func TestRecorderRoundTrip(t *testing.T) {
 	got.SetBase("Model = Camry (wide)", 4)
 	sp.End()
 
-	i0 := got.AddStep(RelaxStep{Base: 0, Query: "q0", Extracted: 10, Qualified: 3})
-	i1 := got.AddStep(RelaxStep{Base: 0, Query: "q1", Extracted: 5, DupHits: 2})
+	i0 := got.AddStep(StepRecord{Base: 0, Extracted: 10, Qualified: 3})
+	i1 := got.AddStep(StepRecord{Base: 0, Extracted: 5, DupHits: 2})
 	if i0 != 0 || i1 != 1 {
 		t.Fatalf("step indices %d, %d; want 0, 1", i0, i1)
 	}
@@ -77,8 +84,8 @@ func TestRecorderRoundTrip(t *testing.T) {
 	if len(tr.BaseProbe) != 2 || tr.BaseQuery != "Model = Camry (wide)" || tr.BaseCount != 4 {
 		t.Errorf("base probes: %+v", tr)
 	}
-	if len(tr.Steps) != 2 || tr.Steps[0].Step != 0 || tr.Steps[1].Step != 1 {
-		t.Errorf("steps: %+v", tr.Steps)
+	if steps := tr.RelaxSteps(); len(steps) != 2 || steps[0].Step != 0 || steps[1].Step != 1 || steps[1].DupHits != 2 {
+		t.Errorf("steps: %+v", steps)
 	}
 	if len(tr.Answers) != 1 || tr.Answers[0].Rank != 1 {
 		t.Errorf("answers: %+v", tr.Answers)
@@ -89,9 +96,36 @@ func TestRecorderRoundTrip(t *testing.T) {
 
 	// The snapshot is a copy: mutating the recorder afterwards must not
 	// change the returned trace.
-	got.AddStep(RelaxStep{Query: "later"})
-	if len(tr.Steps) != 2 {
+	got.AddStep(StepRecord{})
+	if tr.NumSteps() != 2 {
 		t.Errorf("snapshot aliases recorder state")
+	}
+}
+
+// TestStepLogSnapshots: steps are kept in chunks of logChunk records; a
+// snapshot taken at or inside a chunk boundary keeps exactly the steps
+// recorded before it while the recorder goes on adding.
+func TestStepLogSnapshots(t *testing.T) {
+	rec := NewRecorder("req-l", "q")
+	var snaps []Trace
+	for i := 0; i < 3*logChunk+5; i++ {
+		if i == logChunk || i == logChunk+7 || i == 2*logChunk {
+			snaps = append(snaps, rec.Snapshot())
+		}
+		rec.AddStep(StepRecord{Extracted: int32(i), Drop: relation.AttrSet(i)})
+	}
+	snaps = append(snaps, rec.Finish())
+	for j, want := range []int{logChunk, logChunk + 7, 2 * logChunk, 3*logChunk + 5} {
+		tr := snaps[j]
+		steps := tr.RelaxSteps()
+		if tr.NumSteps() != want || len(steps) != want {
+			t.Fatalf("snapshot %d holds %d steps (%d rendered), want %d", j, tr.NumSteps(), len(steps), want)
+		}
+		for i, st := range steps {
+			if st.Step != i || st.Extracted != i || tr.StepDrops(i) != relation.AttrSet(i).Size() {
+				t.Fatalf("snapshot %d, step %d: %+v, %d drops", j, i, st, tr.StepDrops(i))
+			}
+		}
 	}
 }
 
@@ -104,19 +138,21 @@ func TestRecorderConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
 				sp := rec.StartSpan("s")
-				rec.AddStep(RelaxStep{Base: i})
+				plan := append(rec.PlanBuffer(), EnginePlanTerm{Attr: "A", Op: "=", Access: "posting"})
+				rec.AddEngineExec(&EngineExec{Plan: plan})
+				rec.AddStep(StepRecord{Base: int32(i)})
 				sp.End()
-				_ = rec.Snapshot()
+				_ = rec.Snapshot().RelaxSteps()
 			}
 		}(i)
 	}
 	wg.Wait()
 	tr := rec.Finish()
-	if len(tr.Steps) != 8*50 {
-		t.Errorf("steps = %d, want %d", len(tr.Steps), 8*50)
+	if tr.NumSteps() != 8*50 {
+		t.Errorf("steps = %d, want %d", tr.NumSteps(), 8*50)
 	}
 	// Step indices must be dense and match positions.
-	for i, s := range tr.Steps {
+	for i, s := range tr.RelaxSteps() {
 		if s.Step != i {
 			t.Fatalf("step %d has index %d", i, s.Step)
 		}
@@ -251,7 +287,7 @@ func TestNilPathZeroAllocs(t *testing.T) {
 		}
 		sp := rec.StartSpan("x")
 		rec.SetBase("q", 1)
-		rec.AddStep(RelaxStep{})
+		rec.AddStep(StepRecord{})
 		rec.AddAnswer(AnswerExplain{})
 		sp.End()
 		rec.Finish()

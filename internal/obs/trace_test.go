@@ -3,13 +3,17 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 	"unsafe"
+
+	"aimq/internal/relation"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -172,46 +176,62 @@ func TestSpanHierarchy(t *testing.T) {
 
 func TestPendingEngineExecAttachment(t *testing.T) {
 	rec := NewRecorder("req-4", "Q")
-	rec.AddEngineExec(EngineExec{Matched: 7})
+	rec.AddEngineExec(&EngineExec{Matched: 7})
 	rec.BaseProbe("Q1", 7, false)
-	rec.AddEngineExec(EngineExec{Matched: 3})
-	rec.AddStep(RelaxStep{Query: "Q2", Extracted: 3})
-	// A step that already carries an EXPLAIN keeps it.
-	rec.AddEngineExec(EngineExec{Matched: 99})
-	rec.AddStep(RelaxStep{Query: "Q3", Engine: &EngineExec{Matched: 5}})
+	rec.AddEngineExec(&EngineExec{Matched: 3})
+	rec.AddStep(StepRecord{Extracted: 3})
+	// A step whose query left no EXPLAIN (a remote source) has none.
+	rec.AddStep(StepRecord{Extracted: 5})
+	// A later EXPLAIN replaces an unconsumed one.
+	rec.AddEngineExec(&EngineExec{Matched: 99})
+	rec.AddEngineExec(&EngineExec{Matched: 5})
+	rec.AddStep(StepRecord{})
 	// Unconsumed pending EXPLAIN must not leak into the finished trace.
-	rec.AddEngineExec(EngineExec{Matched: 42})
+	rec.AddEngineExec(&EngineExec{Matched: 42})
 	tr := rec.Finish()
 
 	if tr.BaseProbe[0].Engine == nil || tr.BaseProbe[0].Engine.Matched != 7 {
 		t.Errorf("base probe engine = %+v, want Matched 7", tr.BaseProbe[0].Engine)
 	}
-	if tr.Steps[0].Engine == nil || tr.Steps[0].Engine.Matched != 3 {
-		t.Errorf("step 0 engine = %+v, want Matched 3", tr.Steps[0].Engine)
+	steps := tr.RelaxSteps()
+	if steps[0].Engine == nil || steps[0].Engine.Matched != 3 {
+		t.Errorf("step 0 engine = %+v, want Matched 3", steps[0].Engine)
 	}
-	if tr.Steps[1].Engine == nil || tr.Steps[1].Engine.Matched != 5 {
-		t.Errorf("step 1 engine = %+v, want its own Matched 5", tr.Steps[1].Engine)
+	if steps[1].Engine != nil {
+		t.Errorf("step 1 engine = %+v, want none", steps[1].Engine)
+	}
+	if steps[2].Engine == nil || steps[2].Engine.Matched != 5 {
+		t.Errorf("step 2 engine = %+v, want the later Matched 5", steps[2].Engine)
 	}
 }
 
 // TestEnginePlansInterned: records of one trace whose plans hold equal
 // terms share one slice; a plan differing only in access, or one whose hash
-// an unequal plan already holds, keeps its own terms.
+// an unequal plan already holds, keeps its own terms. The trace keeps its
+// own copy of each plan, so a step's plan buffer is left spare for the next
+// PlanBuffer.
 func TestEnginePlansInterned(t *testing.T) {
 	plan := func(access string) []EnginePlanTerm {
 		return []EnginePlanTerm{{Attr: "Make", Op: "=", Access: "posting"}, {Attr: "Price", Op: "=", Access: access}}
 	}
 	rec := NewRecorder("req-5", "Q")
 	for _, access := range []string{"index", "scan", "index"} {
-		rec.AddEngineExec(EngineExec{Plan: plan(access)})
-		rec.AddStep(RelaxStep{})
+		rec.AddEngineExec(&EngineExec{Plan: plan(access)})
+		rec.AddStep(StepRecord{})
+	}
+	if buf := rec.PlanBuffer(); cap(buf) != 2 || len(buf) != 0 {
+		t.Errorf("PlanBuffer after three plans = len %d cap %d, want a step's emptied array", len(buf), cap(buf))
+	}
+	if buf := rec.PlanBuffer(); buf != nil {
+		t.Errorf("second PlanBuffer = %v, want nil: the spare is lent once", buf)
 	}
 	collide := NewRecorder("req-6", "Q")
-	collide.plans = map[uint64][]EnginePlanTerm{planHash(plan("index")): plan("scan")}
-	collide.AddEngineExec(EngineExec{Plan: plan("index")})
-	collide.AddStep(RelaxStep{})
+	collide.internPlan(plan("scan"))
+	collide.planIdx = map[uint64]int32{planHash(plan("index")): 1}
+	collide.AddEngineExec(&EngineExec{Plan: plan("index")})
+	collide.AddStep(StepRecord{})
 
-	steps := rec.Finish().Steps
+	steps := rec.Finish().RelaxSteps()
 	if &steps[0].Engine.Plan[0] != &steps[2].Engine.Plan[0] {
 		t.Errorf("equal plans hold two arrays")
 	}
@@ -223,8 +243,152 @@ func TestEnginePlansInterned(t *testing.T) {
 			t.Errorf("step %d: Price access %q, want %q", i, got, want)
 		}
 	}
-	if got := collide.Finish().Steps[0].Engine.Plan[1].Access; got != "index" {
+	if got := collide.Finish().RelaxSteps()[0].Engine.Plan[1].Access; got != "index" {
 		t.Errorf("plan behind a hash collision reads access %q, want its own index", got)
+	}
+}
+
+// TestRetainedStepRecordsPointerFree: the records a trace keeps per step
+// and per plan term hold no string, slice, map, interface, pointer, channel
+// or function, so recording a step allocates nothing and the collector
+// never scans a retained step; each record is at most 96 bytes.
+func TestRetainedStepRecordsPointerFree(t *testing.T) {
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+			return true
+		case reflect.Array:
+			return pointerFree(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if !pointerFree(typ.Field(i).Type) {
+					t.Errorf("%s.%s (%s) can hold a pointer", typ.Name(), typ.Field(i).Name, typ.Field(i).Type)
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	for _, rec := range []struct {
+		typ  reflect.Type
+		size uintptr
+	}{
+		{reflect.TypeOf(StepRecord{}), unsafe.Sizeof(StepRecord{})},
+		{reflect.TypeOf(engineRecord{}), unsafe.Sizeof(engineRecord{})},
+		{reflect.TypeOf(planTerm{}), unsafe.Sizeof(planTerm{})},
+	} {
+		if !pointerFree(rec.typ) {
+			t.Errorf("%s is not pointer-free", rec.typ.Name())
+		}
+		if rec.size > 96 {
+			t.Errorf("%s is %d bytes, want at most 96", rec.typ.Name(), rec.size)
+		}
+		t.Logf("%s: %d bytes", rec.typ.Name(), rec.size)
+	}
+}
+
+// storedTrace is Trace as it was stored before steps were kept as records:
+// the JSON layout MarshalJSON must reproduce byte for byte.
+type storedTrace struct {
+	ID         string          `json:"id"`
+	TraceID    string          `json:"trace_id,omitempty"`
+	SpanID     string          `json:"span_id,omitempty"`
+	ParentSpan string          `json:"parent_span,omitempty"`
+	Query      string          `json:"query,omitempty"`
+	Start      time.Time       `json:"start"`
+	ElapsedMs  float64         `json:"elapsed_ms"`
+	Spans      []Span          `json:"spans,omitempty"`
+	BaseProbe  []BaseProbe     `json:"base_probes,omitempty"`
+	BaseQuery  string          `json:"base_query,omitempty"`
+	BaseCount  int             `json:"base_count,omitempty"`
+	Steps      []RelaxStep     `json:"relax_steps,omitempty"`
+	Source     []SourceEvent   `json:"source_events,omitempty"`
+	Answers    []AnswerExplain `json:"answers,omitempty"`
+	Err        string          `json:"error,omitempty"`
+}
+
+func storedForm(t Trace) storedTrace {
+	return storedTrace{t.ID, t.TraceID, t.SpanID, t.ParentSpan, t.Query, t.Start, t.ElapsedMs, t.Spans,
+		t.BaseProbe, t.BaseQuery, t.BaseCount, t.RelaxSteps(), t.Source, t.Answers, t.Err}
+}
+
+// TestTraceJSONMatchesStoredSteps: a trace whose steps are rendered on read
+// encodes exactly as the same trace with its steps stored did, through
+// MarshalJSON and as its RenderedTrace — alone, in the /debug/traces map,
+// indented, and with HTML escaping on or off.
+func TestTraceJSONMatchesStoredSteps(t *testing.T) {
+	sc := relation.MustSchema(
+		relation.Attribute{Name: "Make", Type: relation.Categorical},
+		relation.Attribute{Name: "Model", Type: relation.Categorical},
+		relation.Attribute{Name: "Class", Type: relation.Categorical},
+		relation.Attribute{Name: "Price", Type: relation.Numeric},
+	)
+	rec := NewRecorder("req-7", "Q(Model like <Camry> & co)")
+	rec.SetStepRenderer(StepRenderer{
+		Schema: sc,
+		Base: []relation.Tuple{
+			{relation.Cat("A&B"), relation.Cat("<Camry>"), relation.NullValue, relation.Numv(9000)},
+			{relation.Cat("Ford"), relation.Cat("F150"), relation.Cat("truck"), relation.Numv(-0.5)},
+			{relation.Cat("x\u2028y"), relation.Cat("é"), relation.Cat(">"), relation.NullValue},
+		},
+		Wimp: []float64{0.1, 0.2, 0.3},
+	})
+	rec.AddEngineExec(&EngineExec{Matched: 4, Plan: []EnginePlanTerm{{Attr: "Make", Op: "=", Access: "posting"}}})
+	rec.BaseProbe("Q(Model = Camry)", 4, false)
+	rec.SetBase("Q(Model = Camry)", 4)
+	sp := rec.StartSpan("relax")
+	rec.AddEngineExec(&EngineExec{Chunks: 3, ChunksVisited: 2, ZoneKilled: 1, ZoneSkipped: 9, PostingEmpty: 1,
+		DenseRows: 70, SparseChecks: 11, Scanned: 81, Matched: 5, Parallel: true, ElapsedUs: 12.345,
+		Plan: []EnginePlanTerm{{Attr: "Make", Op: "=", Access: "posting"}, {Attr: "Price", Op: "=", Access: "index"}}})
+	rec.AddStep(StepRecord{Drop: relation.NewAttrSet(1, 3), ElapsedNs: 1234567, Base: 0, Extracted: 5, Qualified: 2, DupHits: 1})
+	rec.AddStep(StepRecord{Drop: relation.NewAttrSet(2), ElapsedNs: 89, Base: 1, Failed: true, Shed: true})
+	rec.AddEngineExec(&EngineExec{Empty: true, FullScan: true})
+	rec.AddStep(StepRecord{Drop: relation.NewAttrSet(0, 1, 2), ElapsedNs: 1e9 + 7, Base: 2, Extracted: 200, Qualified: 3})
+	sp.End()
+	rec.AddAnswer(AnswerExplain{Rank: 1, Sim: 0.75, Steps: []int{0, 2}})
+	rec.SetError(errors.New("deadline <exceeded>"))
+	traced := rec.Finish()
+	bare := NewRecorder("req-8", "").Finish()
+
+	for _, tr := range []Trace{traced, bare} {
+		want := storedForm(tr)
+		for name, enc := range map[string]func(v any) ([]byte, error){
+			"Marshal":       json.Marshal,
+			"MarshalIndent": func(v any) ([]byte, error) { return json.MarshalIndent(v, "", "  ") },
+			"Encoder without HTML escaping": func(v any) ([]byte, error) {
+				var buf bytes.Buffer
+				e := json.NewEncoder(&buf)
+				e.SetEscapeHTML(false)
+				err := e.Encode(v)
+				return buf.Bytes(), err
+			},
+		} {
+			for _, wrap := range []func(any) any{
+				func(v any) any { return v },
+				func(v any) any { return map[string]any{"retained": 1, "recent": []any{v}} },
+			} {
+				exp, err := enc(wrap(want))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, form := range []any{tr, tr.Render()} {
+					got, err := enc(wrap(form))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, exp) {
+						t.Errorf("%s of %T %s:\n got %s\nwant %s", name, form, tr.ID, got, exp)
+					}
+				}
+			}
+		}
+	}
+	if steps := traced.RelaxSteps(); steps[0].Engine.Plan[1].Access != "index" || steps[1].Engine != nil || !steps[2].Engine.FullScan {
+		t.Errorf("engine records attached to the wrong steps: %+v", steps)
 	}
 }
 
@@ -249,7 +413,7 @@ func exportTraces() []Trace {
 			},
 			BaseQuery: "Q(Model = Camry)",
 			BaseCount: 4,
-			Steps:     []RelaxStep{{Query: "Q(Model = Camry)"}, {Query: "Q()"}},
+			steps:     recordLog[StepRecord]{chunks: [][]StepRecord{make([]StepRecord, 2)}, n: 2},
 			Answers:   []AnswerExplain{{Rank: 1, Sim: 0.9}},
 		},
 		{

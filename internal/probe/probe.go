@@ -53,7 +53,6 @@ type Stats struct {
 	Pivot           string // pivot attribute probed
 	SeedTuples      int    // tuples the unconstrained seed probe returned
 	SpanningQueries int    // spanning queries issued
-	Failures        int    // spanning queries that failed
 	TuplesReturned  int    // tuples returned across spanning queries, pre-dedup
 	ProbedTuples    int    // distinct tuples kept in the probed relation
 
@@ -127,12 +126,11 @@ func (c *Collector) Collect(pivot string) (*relation.Relation, error) {
 		return nil, err
 	}
 
-	results, failures, firstErr := c.runSpanning(spanning)
+	results, firstErr := c.runSpanning(spanning)
 	c.Stats = Stats{
 		Pivot:           pivot,
 		SeedTuples:      len(seed),
 		SpanningQueries: len(spanning),
-		Failures:        failures,
 	}
 	if firstErr != nil {
 		return nil, firstErr
@@ -159,17 +157,16 @@ func (c *Collector) Collect(pivot string) (*relation.Relation, error) {
 }
 
 // runSpanning executes the spanning queries on Parallelism workers (at
-// least one) and returns per-query results in query order, plus the failure
-// count and the first error observed. Once a query has failed, no further
+// least one) and returns per-query results in query order, plus the first
+// error observed. Once a query has failed, no further
 // one reaches the source: a worker that takes a job after the failure skips
 // it, so one worker sends exactly the queries up to the failing one.
-func (c *Collector) runSpanning(spanning []*query.Query) ([][]relation.Tuple, int, error) {
+func (c *Collector) runSpanning(spanning []*query.Query) ([][]relation.Tuple, error) {
 	results := make([][]relation.Tuple, len(spanning))
 	workers := min(max(c.Parallelism, 1), len(spanning))
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		failures int
 		firstErr error
 	)
 	failed := func() bool {
@@ -189,7 +186,6 @@ func (c *Collector) runSpanning(spanning []*query.Query) ([][]relation.Tuple, in
 				tuples, err := c.src.Query(spanning[i], 0)
 				if err != nil {
 					mu.Lock()
-					failures++
 					if firstErr == nil {
 						firstErr = fmt.Errorf("probe: spanning query %s: %w", spanning[i], err)
 					}
@@ -205,7 +201,7 @@ func (c *Collector) runSpanning(spanning []*query.Query) ([][]relation.Tuple, in
 	}
 	close(jobs)
 	wg.Wait()
-	return results, failures, firstErr
+	return results, firstErr
 }
 
 func (c *Collector) spanningQueries(sc *relation.Schema, attr int, seed []relation.Tuple) ([]*query.Query, error) {

@@ -280,9 +280,6 @@ func TestCollectRecordsStats(t *testing.T) {
 	if st.SpanningQueries != 6 { // one per distinct make
 		t.Errorf("SpanningQueries = %d, want 6", st.SpanningQueries)
 	}
-	if st.Failures != 0 {
-		t.Errorf("Failures = %d", st.Failures)
-	}
 	if st.ProbedTuples != got.Size() || st.ProbedTuples != rel.Size() {
 		t.Errorf("ProbedTuples = %d, relation %d", st.ProbedTuples, got.Size())
 	}

@@ -86,8 +86,8 @@ func relaxDepth(t *obs.Trace, a *obs.AnswerExplain) int {
 	if a.FromBase || len(a.Steps) == 0 {
 		return 0
 	}
-	if si := a.Steps[0]; si >= 0 && si < len(t.Steps) {
-		return len(t.Steps[si].Dropped)
+	if si := a.Steps[0]; si >= 0 && si < t.NumSteps() {
+		return t.StepDrops(si)
 	}
 	return 0
 }

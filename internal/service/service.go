@@ -373,10 +373,10 @@ type answerPayload struct {
 	Answers   []answerRow `json:"answers"`
 	Work      workJSON    `json:"work"`
 	// Explain carries the full trace — spans, base probes, relaxation steps,
-	// per-answer score decompositions — when the client asked for it.
-	// Explained payloads are never cached, so the trace is always the run
-	// that produced this exact response.
-	Explain *obs.Trace `json:"explain,omitempty"`
+	// per-answer score decompositions — when the client asked for it,
+	// rendered once for this response. Explained payloads are never cached,
+	// so the trace is always the run that produced this exact response.
+	Explain *obs.RenderedTrace `json:"explain,omitempty"`
 	// queryText is the Parse-round-trippable form of Query, carried (but
 	// never serialized) so the cache-warming snapshot can replay the
 	// computation after a restart.
@@ -683,21 +683,22 @@ func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Qu
 	if s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery {
 		s.logSlow(traceID, text, elapsed, res, tr, err)
 	}
+	var explained *obs.RenderedTrace
+	if explain {
+		r := tr.Render()
+		explained = &r
+	}
 	if err != nil {
 		if res != nil && len(res.Answers) > 0 {
 			p := s.payload(q, text, res, k, tsim)
-			if explain {
-				p.Explain = tr
-			}
+			p.Explain = explained
 			s.auditRecord(pack, q, p, tr, k, tsim, explain, true)
 			return p, err
 		}
 		return nil, err
 	}
 	p := s.payload(q, text, res, k, tsim)
-	if explain {
-		p.Explain = tr
-	}
+	p.Explain = explained
 	s.auditRecord(pack, q, p, tr, k, tsim, explain, false)
 	s.notifyAnswer(pack, p)
 	return p, nil
@@ -715,7 +716,7 @@ func (s *Service) logSlow(reqID, text string, elapsed time.Duration, res *core.R
 	attrs := []any{"request_id", reqID, "query", text, "elapsed_ms", float64(elapsed) / 1e6,
 		"queries_issued", queries, "answers", answers}
 	if tr != nil {
-		attrs = append(attrs, "relax_steps", len(tr.Steps), "base_count", tr.BaseCount)
+		attrs = append(attrs, "relax_steps", tr.NumSteps(), "base_count", tr.BaseCount)
 	}
 	errText := ""
 	if err != nil {

@@ -139,7 +139,7 @@ func (s *Service) auditRecord(pack *enginePack, q *query.Query, p *answerPayload
 			ev.TraceID = tr.ID
 		}
 		ev.LatencyMs = tr.ElapsedMs
-		ev.RelaxSteps = len(tr.Steps)
+		ev.RelaxSteps = tr.NumSteps()
 		for i := range tr.Answers {
 			ev.RelaxDepthMax = max(ev.RelaxDepthMax, relaxDepth(tr, &tr.Answers[i]))
 		}

@@ -164,9 +164,9 @@ func (l *Local) QueryContext(ctx context.Context, q *query.Query, limit int) ([]
 	if err := l.checkSchema(q); err != nil {
 		return nil, err
 	}
-	var ex obs.EngineExec
+	ex := obs.EngineExec{Plan: rec.PlanBuffer()}
 	tuples := l.eng.ExecuteTuplesExplained(q, limit, &ex)
-	rec.AddEngineExec(ex)
+	rec.AddEngineExec(&ex)
 	return tuples, nil
 }
 

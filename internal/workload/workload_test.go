@@ -68,7 +68,7 @@ func TestOrderingFromLog(t *testing.T) {
 		t.Errorf("weights sum = %v", sum)
 	}
 	// It is a usable Ordering: relaxation sets derive from it.
-	sets := ord.AllRelaxations(2, relation.NewAttrSet(0, 1, 2, 3))
+	sets := ord.AllRelaxations(relation.NewAttrSet(0, 1, 2, 3))
 	if len(sets) == 0 {
 		t.Errorf("workload ordering produced no relaxations")
 	}
