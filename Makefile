@@ -7,8 +7,9 @@
 #                      chunked pair sweep, the probe worker pool, the learn
 #                      pipeline's workers, aimq-serve's stack builder)
 #   make fuzz        — fuzz the query parser, the columnar engine against
-#                      its legacy oracle, the traceparent parser, then the
-#                      CSV relation reader, each for a short fixed time
+#                      its legacy oracle, the traceparent parser, the CSV
+#                      relation reader, then the form source's /query form
+#                      and result-page decoders, each for a short fixed time
 #   make perfbench   — vet and test the end-to-end benchmark module
 #   make bench-serve — serving-path benchmarks (cache hit vs miss)
 #   make bench-learn — offline learn-phase scenarios only (probe→mine→order
@@ -63,14 +64,22 @@ race:
 # legacy row oracle. FuzzParseTraceparent feeds the W3C traceparent parser
 # that every traced request reads from its caller. FuzzReadCSV feeds the
 # relation reader every -data file goes through: it must never panic, and
-# what it accepts must write, read and write again to the same bytes. A
-# crasher the fuzzer finds lands in the package's testdata/fuzz/ and then
-# runs with every go test.
+# what it accepts must write, read and write again to the same bytes.
+# FuzzParseForm and FuzzDecodeResult feed the two decoders of the form
+# source's wire codec, which read what an autonomous source or its callers
+# send: parseForm must give every appendForm query back and parse every raw
+# query as the url.ParseQuery-based oracle does; decodeResult must never
+# panic, must agree with encoding/json + ParseValue on whatever it accepts,
+# and must read back every page appendResult writes. A crasher the fuzzer
+# finds lands in the package's testdata/fuzz/ and then runs with every go
+# test.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnarVsLegacy$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/relation
+	$(GO) test -run '^$$' -fuzz '^FuzzParseForm$$' -fuzztime 10s ./internal/webdb
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s ./internal/webdb
 
 # perfbench is its own module (replace aimq => ../), so the root go test
 # never compiles it; this keeps it building against the service API.

@@ -473,7 +473,8 @@ func (t Trace) StepDrops(i int) int { return t.steps.at(i).Drop.Size() }
 // dropped attributes carry the trace's importance weights; both are empty
 // when no StepRenderer was installed. Each base tuple's query and each
 // drop set's attribute list are built once; steps with equal drop sets
-// share one list.
+// share one list. Step texts are appended from their base query's
+// predicates into one buffer and share one string.
 func (t Trace) RelaxSteps() []RelaxStep {
 	if t.steps.n == 0 {
 		return nil
@@ -494,6 +495,11 @@ func (t Trace) RelaxSteps() []RelaxStep {
 	r := &t.render
 	bases := make([]*query.Query, len(r.Base))
 	dropped := make(map[relation.AttrSet][]DroppedAttr)
+	var text []byte // every step's query text; step i's ends at ends[i]
+	var ends []int
+	if r.Schema != nil {
+		ends = make([]int, len(out))
+	}
 	for i := range out {
 		s := t.steps.at(i)
 		rs := RelaxStep{
@@ -512,7 +518,8 @@ func (t Trace) RelaxSteps() []RelaxStep {
 				bq = query.FromTuple(r.Schema, r.Base[s.Base])
 				bases[s.Base] = bq
 			}
-			rs.Query = bq.DropAttrs(s.Drop).String()
+			text = bq.AppendString(text, s.Drop)
+			ends[i] = len(text)
 			d, ok := dropped[s.Drop]
 			if !ok {
 				d = r.dropped(s.Drop)
@@ -524,6 +531,12 @@ func (t Trace) RelaxSteps() []RelaxStep {
 			rs.Engine = &execs[s.engine-1]
 		}
 		out[i] = rs
+	}
+	if ends != nil {
+		all, start := string(text), 0
+		for i, end := range ends {
+			out[i].Query, start = all[start:end], end
+		}
 	}
 	return out
 }

@@ -281,6 +281,13 @@ func (q *Query) Text() string {
 // A query built by FromTuple, and DropAttrs or ToPrecise of one, is already
 // in that order and renders without a copy or a sort.
 func (q *Query) String() string {
+	var stack [256]byte
+	return string(q.AppendString(stack[:0], 0))
+}
+
+// AppendString appends the String form of q.DropAttrs(drop) to dst and
+// returns the extended buffer, without building that query.
+func (q *Query) AppendString(dst []byte, drop relation.AttrSet) []byte {
 	preds := q.Preds
 	for i := 1; i < len(preds); i++ {
 		if preds[i].Attr < preds[i-1].Attr {
@@ -289,13 +296,17 @@ func (q *Query) String() string {
 			break
 		}
 	}
-	var stack [256]byte
-	buf := append(stack[:0], "Q("...)
-	for i, p := range preds {
-		if i > 0 {
-			buf = append(buf, " ∧ "...)
+	dst = append(dst, "Q("...)
+	first := true
+	for _, p := range preds {
+		if drop.Has(p.Attr) {
+			continue
 		}
-		buf = p.appendRender(buf, q.Schema, ", ")
+		if !first {
+			dst = append(dst, " ∧ "...)
+		}
+		first = false
+		dst = p.appendRender(dst, q.Schema, ", ")
 	}
-	return string(append(buf, ')'))
+	return append(dst, ')')
 }

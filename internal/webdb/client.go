@@ -3,10 +3,11 @@ package webdb
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -18,16 +19,38 @@ import (
 
 // Client is a Source that talks to a Server over HTTP. It fetches the
 // schema once at construction and re-parses returned string tuples under it.
+//
+// The source is autonomous, so the client bounds what it believes: a page
+// holds at most the rows it asked for, an incomplete page holds exactly
+// that many, a body is read up to maxBody bytes, and an unlimited query
+// reads at most maxPages pages.
 type Client struct {
 	base   string
 	http   *http.Client
 	schema *relation.Schema
+	// query is a GET of base+"/query?", cloned for every call with the
+	// call's raw query, so no call parses a URL; form holds the schema's
+	// form keys, escaped and ranked once.
+	query *http.Request
+	form  *formKeys
 
-	// PageSize is the page requested when the caller asks for unlimited
+	// pageSize is the page requested when the caller asks for unlimited
 	// results: the client walks pages until the server reports the result
-	// complete. Default 500.
-	PageSize int
+	// complete.
+	pageSize int
 }
+
+const (
+	// defaultPageSize is the page an unlimited query is read in.
+	defaultPageSize = 500
+	// maxPages caps the pages of one unlimited query: a million rows at
+	// the default page size, more than any relation this repository
+	// generates holds.
+	maxPages = 2000
+	// maxBody caps the bytes read from one response. A 500-row CensusDB
+	// page is about 90 KiB.
+	maxBody = 16 << 20
+)
 
 // NewClient connects to the server at base (e.g. "http://127.0.0.1:8080")
 // and fetches its schema.
@@ -35,12 +58,18 @@ func NewClient(base string, hc *http.Client) (*Client, error) {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	c := &Client{base: strings.TrimRight(base, "/"), http: hc}
+	c := &Client{base: strings.TrimRight(base, "/"), http: hc, pageSize: defaultPageSize}
+	req, err := http.NewRequest(http.MethodGet, c.base+"/query?", nil)
+	if err != nil {
+		return nil, fmt.Errorf("webdb client: %w", err)
+	}
+	c.query = req
 	sc, err := c.fetchSchema()
 	if err != nil {
 		return nil, err
 	}
 	c.schema = sc
+	c.form = newFormKeys(sc)
 	return c, nil
 }
 
@@ -48,7 +77,11 @@ func NewClient(base string, hc *http.Client) (*Client, error) {
 func (c *Client) Schema() *relation.Schema { return c.schema }
 
 func (c *Client) fetchSchema() (*relation.Schema, error) {
-	body, err := c.get(context.Background(), c.base+"/schema")
+	req, err := http.NewRequest(http.MethodGet, c.base+"/schema", nil)
+	if err != nil {
+		return nil, fmt.Errorf("webdb client: fetch schema: %w", err)
+	}
+	body, err := c.do(req, nil)
 	if err != nil {
 		return nil, fmt.Errorf("webdb client: fetch schema: %w", err)
 	}
@@ -88,13 +121,9 @@ func (c *Client) QueryContext(ctx context.Context, q *query.Query, limit int) ([
 		tuples, _, err := c.queryPage(ctx, q, limit, 0)
 		return tuples, err
 	}
-	pageSize := c.PageSize
-	if pageSize <= 0 {
-		pageSize = 500
-	}
 	var all []relation.Tuple
-	for offset := 0; ; offset += pageSize {
-		tuples, complete, err := c.queryPage(ctx, q, pageSize, offset)
+	for page := 0; page < maxPages; page++ {
+		tuples, complete, err := c.queryPage(ctx, q, c.pageSize, page*c.pageSize)
 		if err != nil {
 			return nil, err
 		}
@@ -103,79 +132,51 @@ func (c *Client) QueryContext(ctx context.Context, q *query.Query, limit int) ([
 			return all, nil
 		}
 	}
+	return nil, fmt.Errorf("webdb client: query %s: source still incomplete after %d pages of %d rows", q, maxPages, c.pageSize)
 }
 
-// queryPage fetches one page and reports whether the result was complete.
+// queryPage fetches one page of at most limit rows and reports whether the
+// result was complete. A page with more rows than limit, or an incomplete
+// one with fewer, is the source's error, not data.
 func (c *Client) queryPage(ctx context.Context, q *query.Query, limit, offset int) ([]relation.Tuple, bool, error) {
-	params := url.Values{}
-	for _, p := range q.Preds {
-		name := c.schema.Attr(p.Attr).Name
-		typ := c.schema.Type(p.Attr)
-		switch p.Op {
-		case query.OpEq:
-			params.Set(name, p.Value.Render(typ))
-		case query.OpLike:
-			return nil, false, fmt.Errorf("webdb client: source cannot evaluate %q; tighten the query first", p.Render(q.Schema))
-		case query.OpLess:
-			params.Set(name+".lt", p.Value.Render(typ))
-		case query.OpGreater:
-			params.Set(name+".gt", p.Value.Render(typ))
-		case query.OpRange:
-			params.Set(name+".lo", p.Value.Render(typ))
-			params.Set(name+".hi", p.Hi.Render(typ))
-		case query.OpIn:
-			alts := make([]string, len(p.Values))
-			for i, v := range p.Values {
-				alts[i] = v.Render(typ)
-			}
-			params.Set(name+".in", strings.Join(alts, "|"))
-		default:
-			return nil, false, fmt.Errorf("webdb client: unsupported operator %v", p.Op)
-		}
+	buf := getBuf()
+	defer putBuf(buf)
+	form, err := c.form.appendForm((*buf)[:0], q, limit, offset)
+	if err != nil {
+		return nil, false, err
 	}
-	if limit > 0 {
-		params.Set("limit", strconv.Itoa(limit))
-	}
-	if offset > 0 {
-		params.Set("offset", strconv.Itoa(offset))
-	}
-	body, err := c.get(ctx, c.base+"/query?"+params.Encode())
+	req := c.query.WithContext(ctx)
+	u := *req.URL
+	u.RawQuery = string(form)
+	req.URL = &u
+	req.Header = make(http.Header)
+	body, err := c.do(req, form[:0])
+	*buf = body
 	if err != nil {
 		return nil, false, fmt.Errorf("webdb client: query: %w", err)
 	}
-	var rj resultJSON
-	if err := json.Unmarshal(body, &rj); err != nil {
+	tuples, complete, err := decodeResult(c.schema, body)
+	if err != nil {
 		return nil, false, fmt.Errorf("webdb client: decode result: %w", err)
 	}
-	tuples := make([]relation.Tuple, len(rj.Tuples))
-	for i, row := range rj.Tuples {
-		if len(row) != c.schema.Arity() {
-			return nil, false, fmt.Errorf("webdb client: row %d has %d fields, schema has %d", i, len(row), c.schema.Arity())
-		}
-		t := make(relation.Tuple, len(row))
-		for j, field := range row {
-			v, err := relation.ParseValue(field, c.schema.Type(j))
-			if err != nil {
-				return nil, false, fmt.Errorf("webdb client: row %d field %s: %w", i, c.schema.Attr(j).Name, err)
-			}
-			t[j] = v
-		}
-		tuples[i] = t
+	switch n := len(tuples); {
+	case n > limit:
+		return nil, false, fmt.Errorf("webdb client: source returned %d rows for a page of %d", n, limit)
+	case !complete && n < limit:
+		return nil, false, fmt.Errorf("webdb client: source returned an incomplete page of %d rows, page size %d", n, limit)
 	}
-	return tuples, rj.Complete, nil
+	return tuples, complete, nil
 }
 
-// get performs one HTTP attempt; retrying is Resilient's job. Non-200
-// responses surface as *StatusError, Retry-After included, so Resilient
-// classifies them. The request carries the caller's X-Request-ID, and —
-// when a trace recorder is active — a source_http span plus a traceparent
-// header naming it, so the remote source's own traces join this trace
-// (each of Resilient's attempts is its own span).
-func (c *Client) get(ctx context.Context, u string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
+// do performs one HTTP attempt and reads the body into dst, up to maxBody
+// bytes; retrying is Resilient's job. Non-200 responses surface as
+// *StatusError, Retry-After included, so Resilient classifies them. The
+// request carries the caller's X-Request-ID, and — when a trace recorder
+// is active — a source_http span plus a traceparent header naming it, so
+// the remote source's own traces join this trace (each of Resilient's
+// attempts is its own span).
+func (c *Client) do(req *http.Request, dst []byte) ([]byte, error) {
+	ctx := req.Context()
 	if id := obs.RequestIDFrom(ctx); id != "" {
 		req.Header.Set(obs.RequestIDHeader, id)
 	}
@@ -186,12 +187,12 @@ func (c *Client) get(ctx context.Context, u string) ([]byte, error) {
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp.Body, dst)
 	resp.Body.Close()
 	if err != nil {
-		return nil, err
+		return body, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		se := &StatusError{
@@ -202,9 +203,30 @@ func (c *Client) get(ctx context.Context, u string) ([]byte, error) {
 		if json.Unmarshal(body, &ej) == nil && ej.Error != "" {
 			se.Msg = ej.Error
 		}
-		return nil, se
+		return body, se
 	}
 	return body, nil
+}
+
+// readBody appends r's bytes to dst, failing once they pass maxBody.
+func readBody(r io.Reader, dst []byte) ([]byte, error) {
+	start := len(dst)
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Read(dst[len(dst):min(cap(dst), start+maxBody+1)])
+		dst = dst[:len(dst)+n]
+		if len(dst)-start > maxBody {
+			return dst, fmt.Errorf("response body over %d bytes", maxBody)
+		}
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
 }
 
 // parseRetryAfter parses the delay-seconds form of a Retry-After header
@@ -214,9 +236,12 @@ func parseRetryAfter(v string) time.Duration {
 	if v == "" {
 		return 0
 	}
-	secs, err := strconv.Atoi(strings.TrimSpace(v))
-	if err != nil || secs < 0 {
+	secs, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
+	if secs < 0 || (err != nil && !errors.Is(err, strconv.ErrRange)) {
 		return 0
+	}
+	if secs > int64(math.MaxInt64/time.Second) {
+		return math.MaxInt64 // longer than any MaxDelay; seconds would overflow
 	}
 	return time.Duration(secs) * time.Second
 }

@@ -2,6 +2,7 @@ package webdb
 
 import (
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -103,6 +104,8 @@ func TestParseRetryAfter(t *testing.T) {
 	cases := map[string]time.Duration{
 		"": 0, "3": 3 * time.Second, " 10 ": 10 * time.Second,
 		"-1": 0, "garbage": 0, "Wed, 21 Oct 2015 07:28:00 GMT": 0,
+		// Past what a Duration holds: the longest wait, not an overflow.
+		"9223372036854775807": math.MaxInt64, "99999999999999999999": math.MaxInt64,
 	}
 	for in, want := range cases {
 		if got := parseRetryAfter(in); got != want {

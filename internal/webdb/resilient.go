@@ -99,7 +99,8 @@ type RetryPolicy struct {
 	// BaseDelay seeds the exponential backoff, which doubles per attempt.
 	// Default 50ms.
 	BaseDelay time.Duration
-	// MaxDelay caps a single backoff sleep. Default 2s.
+	// MaxDelay caps a single backoff sleep. Default 2s. A Retry-After
+	// longer than MaxDelay ends the retry loop with the source's error.
 	MaxDelay time.Duration
 }
 
@@ -119,7 +120,8 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // Backoff returns the sleep before the attempt following attempt (1-based):
 // the exponential delay with full jitter — uniform in [0, delay], so
 // synchronized clients spread out instead of thundering back in lockstep —
-// floored by the server's Retry-After when one was given.
+// floored by the server's Retry-After when one was given (Do never passes
+// one above MaxDelay).
 func (p RetryPolicy) Backoff(attempt int, after time.Duration) time.Duration {
 	p = p.withDefaults()
 	d := float64(p.BaseDelay)
@@ -138,7 +140,8 @@ func (p RetryPolicy) Backoff(attempt int, after time.Duration) time.Duration {
 }
 
 // Do runs op under the policy: classification via Retryable, jittered
-// exponential backoff between attempts. It reports how many attempts were
+// exponential backoff between attempts, and no retry at all when the
+// source's Retry-After exceeds MaxDelay. It reports how many attempts were
 // made alongside op's final error. The parent ctx bounds the whole loop; a
 // backoff sleep cut by cancellation returns the last attempt's error rather
 // than losing it.
@@ -165,6 +168,12 @@ func (p RetryPolicy) Do(ctx context.Context, op func(ctx context.Context) error)
 			if !(errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil) {
 				return attempts, err
 			}
+		}
+		if after > p.MaxDelay {
+			// The source asked for a longer wait than any sleep the policy
+			// makes: end the loop with its error rather than let an
+			// autonomous source set the sleep.
+			return attempts, err
 		}
 		if serr := sleepCtx(ctx, p.Backoff(attempts, after)); serr != nil {
 			return attempts, err

@@ -2,14 +2,9 @@ package webdb
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 
 	"aimq/internal/obs"
-	"aimq/internal/query"
-	"aimq/internal/relation"
 )
 
 // Server exposes a Source over HTTP in the style of a Web form front-end.
@@ -19,7 +14,7 @@ import (
 //	GET /schema
 //	    → {"attributes":[{"name":"Make","type":"categorical"},...]}
 //	GET /query?Make=Toyota&Price.lt=10000&limit=50
-//	    → {"tuples":[["Toyota","Camry","2000","10000"],...]}
+//	    → {"tuples":[["Toyota","Camry","2000","10000"],...],"complete":false}
 //
 // Query parameters map to the boolean query model:
 //
@@ -31,10 +26,24 @@ import (
 //	limit=n       page size
 //	offset=n      page start
 //
+// The /query wire format lives in wire.go, one codec for both sides. The
+// form is what url.Values.Encode writes (keys sorted and query-escaped,
+// the last value set for a key wins); the server parses the raw query with
+// url.ParseQuery's pair rules ('&' separates pairs, a pair holding ';' or a
+// malformed escape is skipped, the first value of a repeated key wins) and
+// emits predicates in schema order. The page is exactly what
+// json.NewEncoder(w).Encode writes for the object above: every value its
+// rendered text (a Web form returns text), '<', '>' and '&' escaped, and a
+// trailing newline. So the server and any client of either encoder
+// interoperate. /schema, /stats and error bodies go through encoding/json.
+//
 // Responses carry a "complete" flag: false means the page was cut by the
 // limit and more rows exist — real Web forms page their results, and the
-// client walks pages transparently. Tuples are serialized as string arrays
-// (a Web form returns text); the client re-parses them under the schema.
+// client walks pages transparently, re-parsing each string under the
+// schema. The client believes only what it asked for: a page with more
+// rows than its limit, or an incomplete page with fewer, fails the query;
+// a body is read up to 16 MiB; and an unlimited query reads at most 2,000
+// pages of 500 rows.
 type Server struct {
 	src  Source
 	mux  *http.ServeMux
@@ -87,12 +96,6 @@ type attrJSON struct {
 	Type string `json:"type"`
 }
 
-type resultJSON struct {
-	Tuples [][]string `json:"tuples"`
-	// Complete is false when the page was cut by the limit.
-	Complete bool `json:"complete"`
-}
-
 type errorJSON struct {
 	Error string `json:"error"`
 }
@@ -109,7 +112,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sc := s.src.Schema()
-	q, limit, offset, err := parseForm(sc, r)
+	q, limit, offset, err := parseForm(sc, r.URL.RawQuery)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
 		return
@@ -154,120 +157,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		tuples = tuples[:limit]
 		complete = false
 	}
-	out := resultJSON{Tuples: make([][]string, len(tuples)), Complete: complete}
-	for i, t := range tuples {
-		row := make([]string, len(t))
-		for j, v := range t {
-			row[j] = v.Render(sc.Type(j))
-		}
-		out.Tuples[i] = row
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// parseForm converts form parameters into a boolean query.
-func parseForm(sc *relation.Schema, r *http.Request) (*query.Query, int, int, error) {
-	q := query.New(sc)
-	limit, offset := 0, 0
-	values := r.URL.Query()
-	// range bounds are paired; collect then emit
-	type bounds struct {
-		lo, hi   float64
-		has, hih bool
-	}
-	ranges := map[int]*bounds{}
-	for key, vals := range values {
-		if len(vals) == 0 {
-			continue
-		}
-		raw := vals[0]
-		if key == "limit" || key == "offset" {
-			n, err := strconv.Atoi(raw)
-			if err != nil || n < 0 {
-				return nil, 0, 0, fmt.Errorf("bad %s %q", key, raw)
-			}
-			if key == "limit" {
-				limit = n
-			} else {
-				offset = n
-			}
-			continue
-		}
-		name, suffix := key, ""
-		if i := strings.LastIndex(key, "."); i >= 0 {
-			name, suffix = key[:i], key[i+1:]
-		}
-		attr, ok := sc.Index(name)
-		if !ok {
-			return nil, 0, 0, fmt.Errorf("unknown attribute %q", name)
-		}
-		typ := sc.Type(attr)
-		switch suffix {
-		case "":
-			v, err := relation.ParseValue(raw, typ)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			q.Preds = append(q.Preds, query.Predicate{Attr: attr, Op: query.OpEq, Value: v})
-		case "in":
-			var values []relation.Value
-			for _, part := range strings.Split(raw, "|") {
-				part = strings.TrimSpace(part)
-				if part == "" {
-					continue
-				}
-				v, err := relation.ParseValue(part, typ)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				values = append(values, v)
-			}
-			if len(values) == 0 {
-				return nil, 0, 0, fmt.Errorf("attribute %q: empty in-list", name)
-			}
-			q.Preds = append(q.Preds, query.Predicate{Attr: attr, Op: query.OpIn, Values: values})
-		case "lt", "gt", "lo", "hi":
-			if typ != relation.Numeric {
-				return nil, 0, 0, fmt.Errorf("attribute %q is not numeric", name)
-			}
-			f, err := strconv.ParseFloat(raw, 64)
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("bad numeric bound %q for %q", raw, name)
-			}
-			switch suffix {
-			case "lt":
-				q.Preds = append(q.Preds, query.Predicate{Attr: attr, Op: query.OpLess, Value: relation.Numv(f)})
-			case "gt":
-				q.Preds = append(q.Preds, query.Predicate{Attr: attr, Op: query.OpGreater, Value: relation.Numv(f)})
-			case "lo":
-				b := ranges[attr]
-				if b == nil {
-					b = &bounds{}
-					ranges[attr] = b
-				}
-				b.lo, b.has = f, true
-			case "hi":
-				b := ranges[attr]
-				if b == nil {
-					b = &bounds{}
-					ranges[attr] = b
-				}
-				b.hi, b.hih = f, true
-			}
-		default:
-			return nil, 0, 0, fmt.Errorf("unknown form suffix %q on %q", suffix, key)
-		}
-	}
-	for attr, b := range ranges {
-		if !b.has || !b.hih {
-			return nil, 0, 0, fmt.Errorf("attribute %s: range needs both .lo and .hi", sc.Attr(attr).Name)
-		}
-		q.Preds = append(q.Preds, query.Predicate{
-			Attr: attr, Op: query.OpRange,
-			Value: relation.Numv(b.lo), Hi: relation.Numv(b.hi),
-		})
-	}
-	return q, limit, offset, nil
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = appendResult((*buf)[:0], sc, tuples, complete)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*buf) // a failed write leaves the client a truncated page
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

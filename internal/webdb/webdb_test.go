@@ -226,6 +226,9 @@ func TestClientRetries(t *testing.T) {
 	}
 	c.base = proxy.URL
 	c.http = proxy.Client()
+	if c.query, err = http.NewRequest(http.MethodGet, proxy.URL+"/query?", nil); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.Query(query.New(c.Schema()), 1); err == nil {
 		t.Fatalf("flaky proxy did not fail the client's single attempt")
 	}
@@ -313,7 +316,7 @@ func TestClientAutoPagination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.PageSize = 10 // force several round trips
+	c.pageSize = 10 // force several round trips
 	got, err := c.Query(query.New(c.Schema()), 0)
 	if err != nil {
 		t.Fatalf("unlimited query: %v", err)
