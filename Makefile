@@ -2,9 +2,10 @@
 #
 #   make check       — everything CI runs
 #   make fmt         — fail when any Go file is not gofmt-clean
-#   make race        — race-check the concurrent packages (service, core,
-#                      webdb, engine's columnar worker pool, similarity's
-#                      chunked pair sweep, the probe worker pool, the learn
+#   make race        — race-check the public aimq API (DB's concurrent Ask)
+#                      and the concurrent packages (service, core, webdb,
+#                      engine's columnar worker pool, similarity's chunked
+#                      pair sweep, the probe worker pool, the learn
 #                      pipeline's workers, aimq-serve's stack builder)
 #   make fuzz        — fuzz the query parser, the columnar engine against
 #                      its legacy oracle, the traceparent parser, the CSV
@@ -52,9 +53,11 @@ test:
 # and partition's scratch reuse backs that sharding. probe sends its
 # spanning queries from a worker pool, its only runner. learn drives all of
 # those worker pools from one Workers setting. serve starts the drift,
-# refresh and debug goroutines beside the listener.
+# refresh and debug goroutines beside the listener. The root package is the
+# public API: DB documents that Ask is safe for concurrent use, and
+# TestIntegrationConcurrentAsk holds it to that.
 race:
-	$(GO) test -race ./internal/service/... ./internal/core/... ./internal/webdb/... ./internal/obs/... ./internal/engine/... ./internal/similarity/... ./internal/audit/... ./internal/drift/... ./internal/lifecycle/... ./internal/tane/... ./internal/partition/... ./internal/probe/... ./internal/learn/... ./internal/serve/...
+	$(GO) test -race . ./internal/service/... ./internal/core/... ./internal/webdb/... ./internal/obs/... ./internal/engine/... ./internal/similarity/... ./internal/audit/... ./internal/drift/... ./internal/lifecycle/... ./internal/tane/... ./internal/partition/... ./internal/probe/... ./internal/learn/... ./internal/serve/...
 
 # Parse reads untrusted query text, and the answer-cache key and cache
 # snapshot rely on Parse(q.Text()) giving q back; every accepted query must

@@ -1,6 +1,7 @@
 package aimq
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -90,11 +91,12 @@ func (db *DB) Source() webdb.Source { return db.src }
 // for a sample (or uses the one supplied via WithSample), mines approximate
 // functional dependencies and keys with TANE, derives the attribute
 // relaxation order and importance weights (Algorithm 2), and estimates
-// categorical value similarities from supertuples.
+// categorical value similarities from supertuples. The probe runs to its
+// end: Learn takes no context.
 func (db *DB) Learn() error {
 	cfg, sample := db.cfg.learn, db.cfg.sample
 	if sample == nil {
-		probed, st, err := learn.Probe(db.src, cfg)
+		probed, st, err := learn.Probe(context.Background(), db.src, cfg)
 		if err != nil {
 			return fmt.Errorf("aimq: %w", err)
 		}

@@ -11,6 +11,7 @@
 package aimq
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -370,10 +371,7 @@ func BenchmarkProbeParallelism(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c := probe.New(webdb.NewLocal(rel))
-				c.SeedProbeLimit = 2000
-				c.Parallelism = workers
-				if _, err := c.Collect("Make"); err != nil {
+				if _, _, err := probe.Sample(context.Background(), webdb.NewLocal(rel), "Make", 0, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -73,11 +73,11 @@ type failingSource struct {
 
 var errDropped = errors.New("source refuses the query")
 
-func (f failingSource) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
+func (f failingSource) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
 	if !q.BoundAttrs().Has(f.attr) {
 		return nil, errDropped
 	}
-	return f.Source.Query(q, limit)
+	return f.Source.QueryContext(ctx, q, limit)
 }
 
 // TestConcurrentAnswersMatchSerial: answer tables are pooled across

@@ -20,9 +20,9 @@ type slowSource struct {
 
 func (s *slowSource) Schema() *relation.Schema { return s.src.Schema() }
 
-func (s *slowSource) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
+func (s *slowSource) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
 	time.Sleep(s.delay)
-	return s.src.Query(q, limit)
+	return s.src.QueryContext(ctx, q, limit)
 }
 
 // cancelAfterSource cancels a context after a fixed number of queries,
@@ -36,12 +36,12 @@ type cancelAfterSource struct {
 
 func (c *cancelAfterSource) Schema() *relation.Schema { return c.src.Schema() }
 
-func (c *cancelAfterSource) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
+func (c *cancelAfterSource) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
 	c.calls++
 	if c.calls == c.after {
 		c.cancel()
 	}
-	return c.src.Query(q, limit)
+	return c.src.QueryContext(ctx, q, limit)
 }
 
 func TestAnswerContextAlreadyCancelled(t *testing.T) {

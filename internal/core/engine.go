@@ -173,8 +173,8 @@ func (e *Engine) Answer(q *query.Query) (*Result, error) {
 }
 
 // AnswerContext implements Algorithm 1 under a context: the relaxation loop
-// checks ctx between source queries, and context-aware sources (webdb.Client)
-// abort in-flight requests. On cancellation it does NOT discard work already
+// checks ctx between source queries, and every source call runs under ctx,
+// so a remote source (webdb.Client) aborts its in-flight request. On cancellation it does NOT discard work already
 // done — it ranks whatever qualified so far and returns that partial Result
 // alongside ctx.Err(), so a deadline degrades answer completeness instead of
 // answering nothing. Callers must treat a non-nil error with a non-nil Result
@@ -301,7 +301,7 @@ expansion:
 			issued++
 			rq := tq.DropAttrs(drop)
 			stepStart := rec.Since()
-			tuples, err := webdb.QueryContext(ctx, e.Src, rq, cfg.PerQueryLimit)
+			tuples, err := e.Src.QueryContext(ctx, rq, cfg.PerQueryLimit)
 			res.Work.QueriesIssued++
 			if err != nil {
 				if ctx.Err() != nil {
@@ -488,7 +488,7 @@ func (e *Engine) baseSet(ctx context.Context, q *query.Query, cfg Config, work *
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		tuples, err := webdb.QueryContext(ctx, e.Src, cand, cfg.PerQueryLimit)
+		tuples, err := e.Src.QueryContext(ctx, cand, cfg.PerQueryLimit)
 		work.QueriesIssued++
 		if err != nil {
 			if ctx.Err() != nil {

@@ -154,7 +154,7 @@ expansion:
 			issued++
 			rq := tq.DropAttrs(drop)
 			stepStart := rec.Since()
-			tuples, err := webdb.QueryContext(ctx, e.Src, rq, cfg.PerQueryLimit)
+			tuples, err := e.Src.QueryContext(ctx, rq, cfg.PerQueryLimit)
 			res.Work.QueriesIssued++
 			if err != nil {
 				if ctx.Err() != nil {

@@ -246,9 +246,9 @@ type issuedLog struct {
 	texts []string
 }
 
-func (l *issuedLog) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
+func (l *issuedLog) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
 	l.texts = append(l.texts, q.String())
-	return l.Source.Query(q, limit)
+	return l.Source.QueryContext(ctx, q, limit)
 }
 
 // droppedAttrsOracle is how a step's dropped attributes were rendered when

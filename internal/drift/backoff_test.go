@@ -1,7 +1,9 @@
 package drift
 
 import (
+	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,11 +19,11 @@ type flakySource struct {
 }
 
 func (f *flakySource) Schema() *relation.Schema { return f.src.Schema() }
-func (f *flakySource) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
+func (f *flakySource) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
 	if f.broken {
 		return nil, errors.New("probe refused")
 	}
-	return f.src.Query(q, limit)
+	return f.src.QueryContext(ctx, q, limit)
 }
 
 func TestMonitorBacksOffOnProbeFailures(t *testing.T) {
@@ -45,7 +47,7 @@ func TestMonitorBacksOffOnProbeFailures(t *testing.T) {
 		2 * time.Minute, 4 * time.Minute, 8 * time.Minute, 8 * time.Minute,
 	}
 	for i, want := range wants {
-		if _, err := mon.Tick(); err == nil {
+		if _, err := mon.Tick(context.Background()); err == nil {
 			t.Fatalf("tick %d succeeded on a broken source", i)
 		}
 		if got := mon.NextInterval(); got != want {
@@ -69,7 +71,7 @@ func TestMonitorBacksOffOnProbeFailures(t *testing.T) {
 
 	// One healthy probe resets the backoff completely.
 	src.broken = false
-	if _, err := mon.Tick(); err != nil {
+	if _, err := mon.Tick(context.Background()); err != nil {
 		t.Fatalf("healed tick: %v", err)
 	}
 	if got := mon.NextInterval(); got != time.Minute {
@@ -88,7 +90,7 @@ func TestSetBaselineSwapsComparisonAnchor(t *testing.T) {
 	// The live source has drifted far from the old baseline.
 	shifted := genRel(2000, 12, 2.5, "")
 	mon := NewMonitor(webdb.NewLocal(shifted), oldProfile, MonitorConfig{SampleLimit: 1500})
-	rep, err := mon.Tick()
+	rep, err := mon.Tick(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestSetBaselineSwapsComparisonAnchor(t *testing.T) {
 	if got := mon.Baseline(); got != newProfile {
 		t.Fatal("Baseline() does not return the rebased profile")
 	}
-	rep, err = mon.Tick()
+	rep, err = mon.Tick(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,5 +118,50 @@ func TestSetBaselineSwapsComparisonAnchor(t *testing.T) {
 	mon.SetBaseline(nil)
 	if mon.Baseline() != newProfile {
 		t.Fatal("nil SetBaseline cleared the baseline")
+	}
+}
+
+// blockedSource holds every query until the caller's context ends or the
+// test releases it; entered closes at the first query.
+type blockedSource struct {
+	webdb.Source
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (b *blockedSource) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
+	b.once.Do(func() { close(b.entered) })
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-b.release:
+		return nil, errors.New("released")
+	}
+}
+
+// TestRunStopsBlockedReprobe: cancelling Run's context reaches a re-probe
+// blocked in the source, and Run returns within a second.
+func TestRunStopsBlockedReprobe(t *testing.T) {
+	profile := BuildProfile(genRel(200, 1, 1, ""), []int{0})
+	src := &blockedSource{
+		Source:  webdb.NewLocal(genRel(200, 2, 1, "")),
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	t.Cleanup(func() { close(src.release) })
+	mon := NewMonitor(src, profile, MonitorConfig{Interval: time.Millisecond})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		mon.Run(ctx)
+		close(done)
+	}()
+	<-src.entered
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Run still running 1s after its context was cancelled during a blocked re-probe")
 	}
 }

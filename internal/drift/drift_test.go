@@ -1,6 +1,7 @@
 package drift
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -201,7 +202,7 @@ func TestMonitorTickAndBreach(t *testing.T) {
 	var breached *Report
 	mon.OnBreach = func(r *Report) { breached = r }
 
-	rep, err := mon.Tick()
+	rep, err := mon.Tick(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestMonitorTickAndBreach(t *testing.T) {
 	}
 
 	sw.Set(webdb.NewLocal(genRel(2000, 12, 2.5, "")))
-	rep, err = mon.Tick()
+	rep, err = mon.Tick(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

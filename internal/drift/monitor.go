@@ -111,12 +111,13 @@ func (m *Monitor) SetBaseline(p *Profile) {
 // PSIWarn returns the breach threshold in effect.
 func (m *Monitor) PSIWarn() float64 { return m.cfg.PSIWarn }
 
-// Tick re-probes the source once, compares against the baseline, retains
-// the report for Status, and fires OnBreach when the max PSI crosses the
-// threshold.
-func (m *Monitor) Tick() (*Report, error) {
+// Tick re-probes the source once under ctx, compares against the
+// baseline, retains the report for Status, and fires OnBreach when the max
+// PSI crosses the threshold. A ctx that ends mid-probe stops the probe's
+// source queries and fails the tick.
+func (m *Monitor) Tick(ctx context.Context) (*Report, error) {
 	m.ticks.Add(1)
-	rep, err := m.sampleAndCompare()
+	rep, err := m.sampleAndCompare(ctx)
 	m.mu.Lock()
 	m.lastAt = time.Now()
 	m.lastErr = err
@@ -139,25 +140,26 @@ func (m *Monitor) Tick() (*Report, error) {
 	return rep, nil
 }
 
-func (m *Monitor) sampleAndCompare() (*Report, error) {
+func (m *Monitor) sampleAndCompare(ctx context.Context) (*Report, error) {
 	m.mu.Lock()
 	baseline := m.baseline
 	rng := rand.New(rand.NewSource(m.rng.Int63()))
 	m.mu.Unlock()
 	// The baseline's pivot is "" when it predates pivot tracking:
 	// probe.Sample then rediscovers one, the way the learn phase does.
-	sample, _, err := probe.Sample(m.src, baseline.Pivot, m.cfg.SampleLimit, m.cfg.ProbeWorkers, rng)
+	sample, _, err := probe.Sample(ctx, m.src, baseline.Pivot, m.cfg.SampleLimit, m.cfg.ProbeWorkers, rng)
 	if err != nil {
 		return nil, err
 	}
 	return Compare(baseline, sample)
 }
 
-// Run ticks at the configured interval until ctx is cancelled. Errors are
-// retained in Status (and counted), never fatal — a flaky source must not
-// kill the monitor. Consecutive failures stretch the wait exponentially
-// (capped at 8× Interval) so an unhealthy source isn't re-probed at full
-// cadence; the first success snaps back to the base interval.
+// Run ticks at the configured interval until ctx is cancelled; a re-probe
+// in flight then stops sending queries. Errors are retained in Status (and
+// counted), never fatal — a flaky source must not kill the monitor.
+// Consecutive failures stretch the wait exponentially (capped at 8×
+// Interval) so an unhealthy source isn't re-probed at full cadence; the
+// first success snaps back to the base interval.
 func (m *Monitor) Run(ctx context.Context) {
 	t := time.NewTimer(m.NextInterval())
 	defer t.Stop()
@@ -166,7 +168,7 @@ func (m *Monitor) Run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			_, _ = m.Tick()
+			_, _ = m.Tick(ctx)
 			t.Reset(m.NextInterval())
 		}
 	}

@@ -9,6 +9,7 @@
 package learn
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -72,23 +73,23 @@ type Model struct {
 	Snap *model.Snapshot
 }
 
-// Probe collects the sample Build learns from (see probe.Sample). The
-// sample cap draws from rand.New(Seed), so a config always draws the same
-// sample.
-func Probe(src webdb.Source, cfg Config) (*relation.Relation, probe.Stats, error) {
+// Probe collects the sample Build learns from (see probe.Sample), its
+// source queries under ctx. The sample cap draws from rand.New(Seed), so a
+// config always draws the same sample.
+func Probe(ctx context.Context, src webdb.Source, cfg Config) (*relation.Relation, probe.Stats, error) {
 	cfg = cfg.withDefaults()
-	sample, st, err := probe.Sample(src, cfg.Pivot, cfg.SampleSize, cfg.Workers, rand.New(rand.NewSource(cfg.Seed)))
+	sample, st, err := probe.Sample(ctx, src, cfg.Pivot, cfg.SampleSize, cfg.Workers, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return nil, st, fmt.Errorf("probing failed: %w", err)
 	}
 	return sample, st, nil
 }
 
-// Build runs the whole offline phase against src: Probe, then FromSample.
-// The model does not keep the probed sample.
-func Build(src webdb.Source, cfg Config) (*Model, error) {
+// Build runs the whole offline phase against src: Probe under ctx, then
+// FromSample. The model does not keep the probed sample.
+func Build(ctx context.Context, src webdb.Source, cfg Config) (*Model, error) {
 	r := newRun()
-	sample, ps, err := Probe(src, cfg)
+	sample, ps, err := Probe(ctx, src, cfg)
 	if err != nil {
 		return nil, err
 	}

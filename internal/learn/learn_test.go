@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -22,11 +23,11 @@ func stageNames(m *Model) []string {
 func TestBuildIsProbeThenFromSample(t *testing.T) {
 	src := webdb.NewLocal(datagen.GenerateCarDB(2500, 3).Rel)
 	cfg := Config{SampleSize: 1800, Workers: 4}
-	built, err := Build(src, cfg)
+	built, err := Build(context.Background(), src, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	sample, st, err := Probe(src, cfg)
+	sample, st, err := Probe(context.Background(), src, cfg)
 	if err != nil {
 		t.Fatalf("Probe: %v", err)
 	}

@@ -4,7 +4,7 @@
 //
 // The paper selects probing queries "from a set of spanning queries, i.e.
 // queries which together cover all the tuples stored in the data sources".
-// The Collector realizes that: it enumerates the distinct values of a pivot
+// Sample realizes that: it enumerates the distinct values of a pivot
 // attribute (discovered from an initial unconstrained probe) and issues one
 // equality query per value; numeric pivots are covered with a sweep of
 // disjoint ranges. The union of the answers is the probed relation, which
@@ -12,6 +12,7 @@
 package probe
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -25,30 +26,15 @@ import (
 	"aimq/internal/webdb"
 )
 
-// Collector probes a Source and materializes the probed relation.
-type Collector struct {
-	src webdb.Source
+const (
+	// seedProbeLimit caps the initial unconstrained probe used to discover
+	// pivot values.
+	seedProbeLimit = 2000
+	// numericBuckets is the number of ranges used to span a numeric pivot.
+	numericBuckets = 20
+)
 
-	// SeedProbeLimit caps the initial unconstrained probe used to discover
-	// pivot values. Default 2000.
-	SeedProbeLimit int
-	// Buckets is the number of ranges used to span a numeric pivot.
-	// Default 20.
-	Buckets int
-	// Parallelism is the number of spanning queries in flight at once
-	// (remote sources tolerate a handful of concurrent form submissions).
-	// Results are merged in query order, so the probed relation — and
-	// everything sampled from it — is identical regardless of the setting.
-	// Default 1 (sequential).
-	Parallelism int
-
-	// Stats describes the most recent Collect run: how much probing work
-	// the offline phase cost. It is plain state on the collector — read it
-	// after Collect returns, not concurrently with it.
-	Stats Stats
-}
-
-// Stats profiles one Collect run.
+// Stats profiles one Sample run.
 type Stats struct {
 	Pivot           string // pivot attribute probed
 	SeedTuples      int    // tuples the unconstrained seed probe returned
@@ -62,19 +48,19 @@ type Stats struct {
 	ProbeTime, CapTime time.Duration
 }
 
-// Sample is the probing step shared by the offline learn phase and the
-// drift monitor's re-probe. It collects the source with spanning queries
-// over pivot ("" = discover one, see Collect), workers at a time, then caps
-// the probed relation at limit tuples (0 = keep all) drawn with rng.
-func Sample(src webdb.Source, pivot string, limit, workers int, rng *rand.Rand) (*relation.Relation, Stats, error) {
+// Sample is probing's one entry point, shared by the offline learn phase
+// and the drift monitor's re-probe. It collects the source with spanning
+// queries over pivot ("" = discover one, see collect), workers at a time,
+// then caps the probed relation at limit tuples (0 = keep all) drawn with
+// rng. Spanning-query results merge in query order, so the sample is
+// identical at any worker count. Every source call runs under ctx, and
+// once ctx is done no further query is sent.
+func Sample(ctx context.Context, src webdb.Source, pivot string, limit, workers int, rng *rand.Rand) (*relation.Relation, Stats, error) {
 	start := time.Now()
-	c := New(src)
-	c.Parallelism = workers
-	rel, err := c.Collect(pivot)
+	rel, st, err := collect(ctx, src, pivot, workers)
 	if err != nil {
-		return nil, c.Stats, err
+		return nil, st, err
 	}
-	st := c.Stats
 	st.ProbeTime = time.Since(start)
 	capStart := time.Now()
 	if limit > 0 && rel.Size() > limit {
@@ -84,63 +70,58 @@ func Sample(src webdb.Source, pivot string, limit, workers int, rng *rand.Rand) 
 	return rel, st, nil
 }
 
-// New creates a collector over src.
-func New(src webdb.Source) *Collector {
-	return &Collector{src: src, SeedProbeLimit: 2000, Buckets: 20}
-}
-
-// Collect probes the source with spanning queries over pivot (an attribute
-// name) and returns the probed relation containing every distinct tuple
+// collect probes src with spanning queries over pivot (an attribute name)
+// and returns the probed relation containing every distinct tuple
 // retrieved. Duplicate tuples returned by overlapping probes are kept once.
 // With pivot "" it discovers one from the seed probe's tuples: the
 // lowest-cardinality attribute that shows at least two values. The first
-// failed spanning query fails the collect.
-func (c *Collector) Collect(pivot string) (*relation.Relation, error) {
-	sc := c.src.Schema()
+// failed spanning query, or ctx ending, fails the collect.
+func collect(ctx context.Context, src webdb.Source, pivot string, workers int) (*relation.Relation, Stats, error) {
+	sc := src.Schema()
 	if _, ok := sc.Index(pivot); pivot != "" && !ok {
-		return nil, fmt.Errorf("probe: pivot attribute %q not in schema %s", pivot, sc)
+		return nil, Stats{}, fmt.Errorf("probe: pivot attribute %q not in schema %s", pivot, sc)
 	}
 
 	// Seed probe: an unconstrained query reveals pivot values (a real
 	// crawler would enumerate the form's dropdown; the seed probe is the
 	// query-only equivalent).
-	seed, err := c.src.Query(query.New(sc), c.SeedProbeLimit)
+	seed, err := src.QueryContext(ctx, query.New(sc), seedProbeLimit)
 	if err != nil {
-		return nil, fmt.Errorf("probe: seed query: %w", err)
+		return nil, Stats{}, fmt.Errorf("probe: seed query: %w", err)
 	}
 	if pivot == "" {
 		for _, info := range coverage(sc, seed) {
-			if info.DistinctInSeed >= 2 {
-				pivot = info.Attr
+			if info.distinctInSeed >= 2 {
+				pivot = info.attr
 				break
 			}
 		}
 		if pivot == "" {
-			return nil, errors.New("probe: no usable probing pivot (source empty?)")
+			return nil, Stats{}, errors.New("probe: no usable probing pivot (source empty?)")
 		}
 	}
 	attr, _ := sc.Index(pivot)
 
-	spanning, err := c.spanningQueries(sc, attr, seed)
+	spanning, err := spanningQueries(sc, attr, seed)
 	if err != nil {
-		return nil, err
+		return nil, Stats{}, err
 	}
 
-	results, firstErr := c.runSpanning(spanning)
-	c.Stats = Stats{
+	results, err := runSpanning(ctx, src, spanning, workers)
+	st := Stats{
 		Pivot:           pivot,
 		SeedTuples:      len(seed),
 		SpanningQueries: len(spanning),
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, st, err
 	}
 
 	out := relation.New(sc)
 	seen := make(map[string]bool)
 	var kb []byte
 	for _, tuples := range results {
-		c.Stats.TuplesReturned += len(tuples)
+		st.TuplesReturned += len(tuples)
 		for _, t := range tuples {
 			kb = relation.AppendTupleKey(kb[:0], sc, t)
 			if !seen[string(kb)] {
@@ -149,29 +130,32 @@ func (c *Collector) Collect(pivot string) (*relation.Relation, error) {
 			}
 		}
 	}
-	c.Stats.ProbedTuples = out.Size()
+	st.ProbedTuples = out.Size()
 	if out.Size() == 0 {
-		return nil, fmt.Errorf("probe: spanning queries over %s returned no tuples", pivot)
+		return nil, st, fmt.Errorf("probe: spanning queries over %s returned no tuples", pivot)
 	}
-	return out, nil
+	return out, st, nil
 }
 
-// runSpanning executes the spanning queries on Parallelism workers (at
+// runSpanning executes the spanning queries on workers goroutines (at
 // least one) and returns per-query results in query order, plus the first
-// error observed. Once a query has failed, no further
-// one reaches the source: a worker that takes a job after the failure skips
-// it, so one worker sends exactly the queries up to the failing one.
-func (c *Collector) runSpanning(spanning []*query.Query) ([][]relation.Tuple, error) {
+// error observed. Once a query has failed or ctx has ended, no further
+// one reaches the source: a worker that takes a job after that skips it,
+// so one worker sends exactly the queries up to the failing one.
+func runSpanning(ctx context.Context, src webdb.Source, spanning []*query.Query, workers int) ([][]relation.Tuple, error) {
 	results := make([][]relation.Tuple, len(spanning))
-	workers := min(max(c.Parallelism, 1), len(spanning))
+	workers = min(max(workers, 1), len(spanning))
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	failed := func() bool {
+	stopped := func() bool {
 		mu.Lock()
 		defer mu.Unlock()
+		if err := ctx.Err(); firstErr == nil && err != nil {
+			firstErr = fmt.Errorf("probe: spanning queries: %w", err)
+		}
 		return firstErr != nil
 	}
 	jobs := make(chan int)
@@ -180,10 +164,10 @@ func (c *Collector) runSpanning(spanning []*query.Query) ([][]relation.Tuple, er
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				if failed() {
+				if stopped() {
 					continue
 				}
-				tuples, err := c.src.Query(spanning[i], 0)
+				tuples, err := src.QueryContext(ctx, spanning[i], 0)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -204,7 +188,7 @@ func (c *Collector) runSpanning(spanning []*query.Query) ([][]relation.Tuple, er
 	return results, firstErr
 }
 
-func (c *Collector) spanningQueries(sc *relation.Schema, attr int, seed []relation.Tuple) ([]*query.Query, error) {
+func spanningQueries(sc *relation.Schema, attr int, seed []relation.Tuple) ([]*query.Query, error) {
 	typ := sc.Type(attr)
 	if typ == relation.Categorical {
 		seen := map[string]bool{}
@@ -240,22 +224,18 @@ func (c *Collector) spanningQueries(sc *relation.Schema, attr int, seed []relati
 	span := max - min
 	min -= 0.05*span + 1
 	max += 0.05*span + 1
-	buckets := c.Buckets
-	if buckets < 1 {
-		buckets = 1
-	}
-	width := (max - min) / float64(buckets)
+	width := (max - min) / numericBuckets
 	var qs []*query.Query
 	name := sc.Attr(attr).Name
-	for b := 0; b < buckets; b++ {
+	for b := 0; b < numericBuckets; b++ {
 		lo := min + float64(b)*width
 		hi := lo + width
-		if b == buckets-1 {
+		if b == numericBuckets-1 {
 			hi = max
 		}
 		// Shrink hi a hair on interior buckets to keep ranges disjoint
 		// under the engine's inclusive semantics.
-		if b < buckets-1 {
+		if b < numericBuckets-1 {
 			hi = math.Nextafter(hi, math.Inf(-1))
 		}
 		qs = append(qs, query.New(sc).WhereRange(name, lo, hi))
@@ -263,23 +243,12 @@ func (c *Collector) spanningQueries(sc *relation.Schema, attr int, seed []relati
 	return qs, nil
 }
 
-// PivotCoverage is a diagnostic: it reports, for each candidate pivot
-// attribute, how many distinct values the seed probe exposes. Collect works
-// best with a pivot of moderate cardinality (each value selects a manageable
-// slice of the source). Returned in ascending cardinality order.
-func PivotCoverage(src webdb.Source, seedLimit int) ([]PivotInfo, error) {
-	sc := src.Schema()
-	seed, err := src.Query(query.New(sc), seedLimit)
-	if err != nil {
-		return nil, fmt.Errorf("probe: seed query: %w", err)
-	}
-	return coverage(sc, seed), nil
-}
-
 // coverage counts each attribute's distinct non-null values in seed, in
-// ascending order of that count.
-func coverage(sc *relation.Schema, seed []relation.Tuple) []PivotInfo {
-	out := make([]PivotInfo, 0, sc.Arity())
+// ascending order of that count. collect works best with a pivot of
+// moderate cardinality (each value selects a manageable slice of the
+// source), so it takes the first attribute that shows two values.
+func coverage(sc *relation.Schema, seed []relation.Tuple) []pivotInfo {
+	out := make([]pivotInfo, 0, sc.Arity())
 	for a := 0; a < sc.Arity(); a++ {
 		seen := map[string]bool{}
 		for _, t := range seed {
@@ -287,14 +256,14 @@ func coverage(sc *relation.Schema, seed []relation.Tuple) []PivotInfo {
 				seen[t[a].Key(sc.Type(a))] = true
 			}
 		}
-		out = append(out, PivotInfo{Attr: sc.Attr(a).Name, DistinctInSeed: len(seen)})
+		out = append(out, pivotInfo{attr: sc.Attr(a).Name, distinctInSeed: len(seen)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].DistinctInSeed < out[j].DistinctInSeed })
+	sort.Slice(out, func(i, j int) bool { return out[i].distinctInSeed < out[j].distinctInSeed })
 	return out
 }
 
-// PivotInfo describes one candidate pivot attribute.
-type PivotInfo struct {
-	Attr           string
-	DistinctInSeed int
+// pivotInfo describes one candidate pivot attribute.
+type pivotInfo struct {
+	attr           string
+	distinctInSeed int
 }

@@ -1,9 +1,11 @@
 package probe
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -41,14 +43,12 @@ func bigRel(n int, seed int64) *relation.Relation {
 func TestCollectCategoricalPivotCoversAll(t *testing.T) {
 	rel := bigRel(3000, 1)
 	src := &webdb.ProbeCounter{Src: webdb.NewLocal(rel)}
-	c := New(src)
-	c.SeedProbeLimit = 3000 // seed sees everything => full coverage
-	got, err := c.Collect("Make")
+	got, _, err := collect(context.Background(), src, "Make", 1)
 	if err != nil {
-		t.Fatalf("Collect: %v", err)
+		t.Fatalf("collect: %v", err)
 	}
 	if got.Size() != rel.Size() {
-		t.Errorf("Collect got %d tuples, source has %d", got.Size(), rel.Size())
+		t.Errorf("collect got %d tuples, source has %d", got.Size(), rel.Size())
 	}
 	if src.Queries() < 7 { // seed + one per make
 		t.Errorf("suspiciously few probes: %d", src.Queries())
@@ -57,12 +57,9 @@ func TestCollectCategoricalPivotCoversAll(t *testing.T) {
 
 func TestCollectNumericPivotCoversAll(t *testing.T) {
 	rel := bigRel(2000, 3)
-	src := webdb.NewLocal(rel)
-	c := New(src)
-	c.SeedProbeLimit = 2000
-	got, err := c.Collect("Year")
+	got, _, err := collect(context.Background(), webdb.NewLocal(rel), "Year", 1)
 	if err != nil {
-		t.Fatalf("Collect: %v", err)
+		t.Fatalf("collect: %v", err)
 	}
 	if got.Size() != rel.Size() {
 		t.Errorf("numeric pivot covered %d of %d tuples", got.Size(), rel.Size())
@@ -77,8 +74,7 @@ func TestCollectDeduplicates(t *testing.T) {
 	rel.Append(tp)
 	rel.Append(tp.Clone())
 	rel.Append(relation.Tuple{relation.Cat("Honda"), relation.Cat("Civic"), relation.Numv(1999), relation.Numv(7000)})
-	c := New(webdb.NewLocal(rel))
-	got, err := c.Collect("Make")
+	got, _, err := collect(context.Background(), webdb.NewLocal(rel), "Make", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +99,7 @@ func TestCollectKeepsTuplesWithSeparatorBytes(t *testing.T) {
 		rel.Append(tp)
 	}
 	rel.Append(distinct[0].Clone())
-	c := New(webdb.NewLocal(rel))
-	got, err := c.Collect("Year")
+	got, _, err := collect(context.Background(), webdb.NewLocal(rel), "Year", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,38 +110,40 @@ func TestCollectKeepsTuplesWithSeparatorBytes(t *testing.T) {
 
 func TestCollectPartialSeedStillWorks(t *testing.T) {
 	rel := bigRel(5000, 7)
-	c := New(webdb.NewLocal(rel))
-	c.SeedProbeLimit = 200 // seed sees a fraction; makes repeat, so spanning still covers all
-	got, err := c.Collect("Make")
+	// The seed sees 2,000 of 5,000 tuples; makes repeat, so spanning
+	// still covers all.
+	got, _, err := collect(context.Background(), webdb.NewLocal(rel), "Make", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All 6 makes almost surely appear within the first 200 tuples.
+	// All 6 makes almost surely appear within the first 2,000 tuples.
 	if got.Size() != rel.Size() {
 		t.Errorf("partial seed covered %d of %d", got.Size(), rel.Size())
 	}
 }
 
 func TestCollectErrors(t *testing.T) {
+	ctx := context.Background()
 	rel := bigRel(100, 9)
-	c := New(webdb.NewLocal(rel))
-	if _, err := c.Collect("Ghost"); err == nil || !strings.Contains(err.Error(), "pivot") {
+	if _, _, err := collect(ctx, webdb.NewLocal(rel), "Ghost", 1); err == nil || !strings.Contains(err.Error(), "pivot") {
 		t.Errorf("unknown pivot error = %v", err)
 	}
 	empty := relation.New(carSchema())
-	ce := New(webdb.NewLocal(empty))
-	if _, err := ce.Collect("Make"); err == nil {
+	if _, _, err := collect(ctx, webdb.NewLocal(empty), "Make", 1); err == nil {
 		t.Errorf("empty source should fail")
+	}
+	// A failed seed query fails the collect with the source's error.
+	flaky := webdb.NewChaos(webdb.NewLocal(rel), webdb.ChaosConfig{FailEvery: 1})
+	if _, _, err := collect(ctx, flaky, "", 1); !errors.Is(err, webdb.ErrInjected) || !strings.Contains(err.Error(), "seed query") {
+		t.Errorf("failed seed query error = %v", err)
 	}
 }
 
 func TestCollectFlakySource(t *testing.T) {
 	rel := bigRel(1000, 12)
 	flaky := webdb.NewChaos(webdb.NewLocal(rel), webdb.ChaosConfig{FailEvery: 4})
-	c := New(flaky)
-	c.SeedProbeLimit = 1000
 	// Any failure must surface the injected failure.
-	if _, err := c.Collect("Make"); err == nil || !errors.Is(err, webdb.ErrInjected) {
+	if _, _, err := collect(context.Background(), flaky, "Make", 1); err == nil || !errors.Is(err, webdb.ErrInjected) {
 		t.Errorf("collector error = %v", err)
 	}
 }
@@ -158,7 +155,7 @@ func TestSampleSendsSeedQueryOnce(t *testing.T) {
 	rel := bigRel(5000, 3)
 	for _, workers := range []int{1, 4} {
 		src := &webdb.ProbeCounter{Src: webdb.NewLocal(rel)}
-		_, st, err := Sample(src, "", 0, workers, rand.New(rand.NewSource(3)))
+		_, st, err := Sample(context.Background(), src, "", 0, workers, rand.New(rand.NewSource(3)))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -169,46 +166,38 @@ func TestSampleSendsSeedQueryOnce(t *testing.T) {
 	}
 }
 
+// TestPivotCoverage: coverage lists the candidate pivots in ascending
+// order of the distinct values the seed shows, the order pivot discovery
+// reads them in.
 func TestPivotCoverage(t *testing.T) {
 	rel := bigRel(500, 17)
-	infos, err := PivotCoverage(webdb.NewLocal(rel), 500)
-	if err != nil {
-		t.Fatal(err)
+	seed := make([]relation.Tuple, rel.Size())
+	for i := range seed {
+		seed[i] = rel.Tuple(i)
 	}
+	infos := coverage(rel.Schema(), seed)
 	if len(infos) != 4 {
-		t.Fatalf("PivotCoverage returned %d attrs", len(infos))
+		t.Fatalf("coverage returned %d attrs", len(infos))
 	}
 	for i := 1; i < len(infos); i++ {
-		if infos[i-1].DistinctInSeed > infos[i].DistinctInSeed {
-			t.Errorf("PivotCoverage not sorted: %v", infos)
+		if infos[i-1].distinctInSeed > infos[i].distinctInSeed {
+			t.Errorf("coverage not sorted: %v", infos)
 		}
 	}
 	// Price is unique per tuple: must be the highest-cardinality pivot.
-	if infos[len(infos)-1].Attr != "Price" {
-		t.Errorf("highest-cardinality pivot = %s, want Price", infos[len(infos)-1].Attr)
-	}
-}
-
-func TestPivotCoverageSourceError(t *testing.T) {
-	flaky := webdb.NewChaos(webdb.NewLocal(bigRel(10, 18)), webdb.ChaosConfig{FailEvery: 1})
-	if _, err := PivotCoverage(flaky, 10); err == nil {
-		t.Errorf("PivotCoverage swallowed source error")
+	if infos[len(infos)-1].attr != "Price" {
+		t.Errorf("highest-cardinality pivot = %s, want Price", infos[len(infos)-1].attr)
 	}
 }
 
 func TestParallelCollectMatchesSequential(t *testing.T) {
 	rel := bigRel(4000, 41)
-	seq := New(webdb.NewLocal(rel))
-	seq.SeedProbeLimit = 4000
-	par := New(&webdb.ProbeCounter{Src: webdb.NewLocal(rel)})
-	par.SeedProbeLimit = 4000
-	par.Parallelism = 6
-
-	a, err := seq.Collect("Make")
+	ctx := context.Background()
+	a, _, err := collect(ctx, webdb.NewLocal(rel), "Make", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := par.Collect("Make")
+	b, _, err := collect(ctx, &webdb.ProbeCounter{Src: webdb.NewLocal(rel)}, "Make", 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,9 +223,7 @@ func TestParallelCollectFlaky(t *testing.T) {
 	const k = 3
 	for _, workers := range []int{1, 4} {
 		src := &failNth{Source: webdb.NewLocal(rel), n: 1 + k} // call 1 is the seed probe
-		c := New(src)
-		c.Parallelism = workers
-		if _, err := c.Collect("Make"); !errors.Is(err, errBoom) {
+		if _, _, err := collect(context.Background(), src, "Make", workers); !errors.Is(err, errBoom) {
 			t.Errorf("workers=%d: err = %v, want the source's error", workers, err)
 		}
 		if got := src.calls.Load() - 1; workers == 1 && got != k {
@@ -254,23 +241,85 @@ type failNth struct {
 	calls atomic.Int32
 }
 
-func (f *failNth) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
+func (f *failNth) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
 	if f.calls.Add(1) == f.n {
 		return nil, errBoom
 	}
-	return f.Source.Query(q, limit)
+	return f.Source.QueryContext(ctx, q, limit)
+}
+
+// TestSampleStopsOnCancel: a Sample whose context is cancelled after the
+// k-th spanning query fails with context.Canceled, and the source sees no
+// spanning query after the cancel; at one worker, exactly k are sent.
+func TestSampleStopsOnCancel(t *testing.T) {
+	rel := bigRel(2000, 43)
+	const k = 3
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		src := &cancelNth{
+			ProbeCounter: &webdb.ProbeCounter{Src: webdb.NewLocal(rel)},
+			n:            1 + k, // call 1 is the seed probe
+			workers:      workers,
+			cancel:       cancel,
+			release:      make(chan struct{}),
+		}
+		// Year spans 20 range queries, more than k plus the other workers'.
+		if _, _, err := Sample(ctx, src, "Year", 0, workers, rand.New(rand.NewSource(1))); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if after := src.Queries() - src.sent; after != 0 {
+			t.Errorf("workers=%d: %d spanning queries reached the source after the cancel", workers, after)
+		}
+		if got := src.sent - 1; workers == 1 && got != k {
+			t.Errorf("workers=1: %d spanning queries reached the source, want %d", got, k)
+		}
+	}
+}
+
+// cancelNth passes queries through to a counting source and cancels the
+// probe's context once the n-th call has been answered. It holds the n-th
+// and later calls until every worker is in one, so that no worker sits
+// between its context check and its next call when the cancel lands; sent
+// is the number of queries the source had seen then.
+type cancelNth struct {
+	*webdb.ProbeCounter
+	n, workers int
+	cancel     context.CancelFunc
+	release    chan struct{}
+
+	mu          sync.Mutex
+	calls, held int
+	sent        int64
+}
+
+func (c *cancelNth) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
+	ts, err := c.ProbeCounter.QueryContext(ctx, q, limit)
+	c.mu.Lock()
+	c.calls++
+	hold := c.calls >= c.n
+	if hold {
+		c.held++
+		if c.held == c.workers {
+			c.sent = c.Queries()
+			c.cancel()
+			close(c.release)
+		}
+	}
+	c.mu.Unlock()
+	if hold {
+		<-c.release
+	}
+	return ts, err
 }
 
 func TestCollectRecordsStats(t *testing.T) {
 	rel := bigRel(1200, 11)
 	src := &webdb.ProbeCounter{Src: webdb.NewLocal(rel)}
-	c := New(src)
-	c.SeedProbeLimit = 1200
-	got, err := c.Collect("Make")
+	got, st, err := collect(context.Background(), src, "Make", 1)
 	if err != nil {
-		t.Fatalf("Collect: %v", err)
+		t.Fatalf("collect: %v", err)
 	}
-	st := c.Stats
 	if st.Pivot != "Make" {
 		t.Errorf("Pivot = %q", st.Pivot)
 	}
@@ -295,20 +344,17 @@ func TestCollectRecordsStats(t *testing.T) {
 // concurrency check on the probe worker pool.
 func TestParallelCollectDeterministicAcrossWorkerCounts(t *testing.T) {
 	rel := bigRel(4000, 51)
-	collect := func(workers int) *relation.Relation {
-		c := New(webdb.NewLocal(rel))
-		c.SeedProbeLimit = 4000
-		c.Parallelism = workers
-		out, err := c.Collect("Make")
+	run := func(workers int) *relation.Relation {
+		out, _, err := collect(context.Background(), webdb.NewLocal(rel), "Make", workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return out
 	}
-	base := collect(1)
+	base := run(1)
 	sc := rel.Schema()
 	for _, workers := range []int{4, 8} {
-		got := collect(workers)
+		got := run(workers)
 		if got.Size() != base.Size() {
 			t.Fatalf("workers=%d: size %d, want %d", workers, got.Size(), base.Size())
 		}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"io"
 	"log/slog"
 	"net/http/httptest"
@@ -40,7 +41,7 @@ func TestDriftEndToEnd(t *testing.T) {
 	svc.AttachDriftMonitor(mon)
 
 	// Tick 1: source unchanged, the fresh sample must look like the baseline.
-	rep, err := mon.Tick()
+	rep, err := mon.Tick(context.Background())
 	if err != nil {
 		t.Fatalf("healthy tick: %v", err)
 	}
@@ -58,7 +59,7 @@ func TestDriftEndToEnd(t *testing.T) {
 	swap.Set(webdb.NewLocal(shifted))
 
 	// Tick 2: the monitor must flag the shift.
-	rep, err = mon.Tick()
+	rep, err = mon.Tick(context.Background())
 	if err != nil {
 		t.Fatalf("post-shift tick: %v", err)
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -72,8 +73,11 @@ func (m *Model) Info() ModelInfo {
 // keeps what serving needs: the ordering, the estimator, the LearnStats
 // profile for /debug/learn, and the snapshot with provenance and the drift
 // baseline. The probe sample and the mined dependency lists are dropped.
+// Its probes run under context.Background(), so a learn started here
+// cannot be cancelled: the perfbench module and lifecycle's rebuild
+// function call this context-free signature.
 func BuildModel(src webdb.Source, lc LearnConfig) (*Model, error) {
-	m, err := learn.Build(src, lc)
+	m, err := learn.Build(context.Background(), src, lc)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}

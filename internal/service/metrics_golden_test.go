@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -43,7 +44,7 @@ func TestMetricsScrapeGolden(t *testing.T) {
 	})
 	mon := drift.NewMonitor(src, m.Snap.Drift, drift.MonitorConfig{SampleLimit: 500, Seed: 3})
 	svc.AttachDriftMonitor(mon)
-	if _, err := mon.Tick(); err != nil {
+	if _, err := mon.Tick(context.Background()); err != nil {
 		t.Fatalf("drift tick: %v", err)
 	}
 	svc.AttachLifecycle(&fakeRefresher{st: RefreshStats{State: "idle", Attempts: 1, Promoted: 1}})

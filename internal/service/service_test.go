@@ -214,12 +214,12 @@ type countingSource struct {
 
 func (c *countingSource) Schema() *relation.Schema { return c.src.Schema() }
 
-func (c *countingSource) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
+func (c *countingSource) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
 	c.queries.Add(1)
 	if c.delay > 0 {
 		time.Sleep(c.delay)
 	}
-	return c.src.Query(q, limit)
+	return c.src.QueryContext(ctx, q, limit)
 }
 
 func TestConcurrentIdenticalQueriesSingleFlight(t *testing.T) {
@@ -437,10 +437,10 @@ type gateSource struct {
 
 func (g *gateSource) Schema() *relation.Schema { return g.src.Schema() }
 
-func (g *gateSource) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
+func (g *gateSource) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
 	g.once.Do(func() { close(g.started) })
 	time.Sleep(g.delay)
-	return g.src.Query(q, limit)
+	return g.src.QueryContext(ctx, q, limit)
 }
 
 func TestGracefulShutdownDrainsInflight(t *testing.T) {

@@ -1,6 +1,7 @@
 package webdb
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 
@@ -20,13 +21,13 @@ func BenchmarkFormRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := query.FromTuple(c.Schema(), rel.Tuple(0))
-	if got, err := c.Query(q, 200); err != nil || len(got) == 0 {
+	if got, err := c.QueryContext(context.Background(), q, 200); err != nil || len(got) == 0 {
 		b.Fatalf("step = %d tuples, %v", len(got), err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Query(q, 200); err != nil {
+		if _, err := c.QueryContext(context.Background(), q, 200); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,7 +18,7 @@ func TestChaosFailEveryDeterministic(t *testing.T) {
 	q := allRows(c)
 	fails := 0
 	for i := 1; i <= 9; i++ {
-		_, err := c.Query(q, 0)
+		_, err := c.QueryContext(context.Background(), q, 0)
 		if err != nil {
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("call %d: err = %v, want injected", i, err)
@@ -42,7 +42,7 @@ func TestChaosSeededReproducible(t *testing.T) {
 		q := allRows(c)
 		var out []string
 		for i := 0; i < 100; i++ {
-			ts, err := c.Query(q, 0)
+			ts, err := c.QueryContext(context.Background(), q, 0)
 			switch {
 			case err != nil:
 				out = append(out, "err")
@@ -64,7 +64,7 @@ func TestChaosSeededReproducible(t *testing.T) {
 
 func TestChaosRateLimit(t *testing.T) {
 	c := NewChaos(NewLocal(testRel()), ChaosConfig{RateLimitProb: 1, RetryAfter: 5 * time.Millisecond})
-	_, err := c.Query(allRows(c), 0)
+	_, err := c.QueryContext(context.Background(), allRows(c), 0)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want injected", err)
 	}
@@ -85,7 +85,7 @@ func TestChaosBurst(t *testing.T) {
 	q := allRows(c)
 	var pattern []bool
 	for i := 1; i <= 12; i++ {
-		_, err := c.Query(q, 0)
+		_, err := c.QueryContext(context.Background(), q, 0)
 		pattern = append(pattern, err != nil)
 	}
 	// Calls 5,6,7 fail (burst), then 10,11,12 (the next burst starts at 10).
@@ -99,7 +99,7 @@ func TestChaosBurst(t *testing.T) {
 
 func TestChaosTruncate(t *testing.T) {
 	c := NewChaos(NewLocal(testRel()), ChaosConfig{TruncateProb: 1})
-	ts, err := c.Query(allRows(c), 0)
+	ts, err := c.QueryContext(context.Background(), allRows(c), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestChaosProbabilistic(t *testing.T) {
 	q := allRows(c)
 	var failed int
 	for i := 0; i < 200; i++ {
-		if _, err := c.Query(q, 1); err != nil {
+		if _, err := c.QueryContext(context.Background(), q, 1); err != nil {
 			failed++
 		}
 	}
@@ -178,10 +178,12 @@ func TestChaosContextDelegation(t *testing.T) {
 	}
 }
 
-// Compile-time interface checks for every wrapper in the package.
+// Compile-time interface checks for every source in the package.
 var (
-	_ ContextSource = (*Chaos)(nil)
-	_ ContextSource = (*Resilient)(nil)
-	_ ContextSource = (*ProbeCounter)(nil)
-	_ ContextSource = (*Client)(nil)
+	_ Source = (*Local)(nil)
+	_ Source = (*Client)(nil)
+	_ Source = (*Chaos)(nil)
+	_ Source = (*Resilient)(nil)
+	_ Source = (*ProbeCounter)(nil)
+	_ Source = (*Swap)(nil)
 )

@@ -40,6 +40,11 @@ type Client struct {
 	pageSize int
 }
 
+// errOutOfBounds marks an answer that breaks one of the client's bounds.
+// An autonomous source that sent it once sends it again, so Retryable
+// reports it as terminal.
+var errOutOfBounds = errors.New("source answer out of bounds")
+
 const (
 	// defaultPageSize is the page an unlimited query is read in.
 	defaultPageSize = 500
@@ -105,17 +110,12 @@ func (c *Client) fetchSchema() (*relation.Schema, error) {
 	return relation.NewSchema(attrs...)
 }
 
-// Query implements Source by encoding the query as form parameters.
+// QueryContext implements Source by encoding the query as form parameters.
 // Queries containing like predicates are rejected: the remote boolean
 // interface cannot express them (tighten with ToPrecise first). A
-// non-positive limit fetches everything, walking the server's pages.
-func (c *Client) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
-	return c.QueryContext(context.Background(), q, limit)
-}
-
-// QueryContext implements ContextSource: the context propagates into every
-// HTTP request, so a cancelled caller aborts the wire transfer rather than
-// waiting out a slow autonomous source.
+// non-positive limit fetches everything, walking the server's pages. The
+// context propagates into every HTTP request, so a cancelled caller aborts
+// the wire transfer rather than waiting out a slow autonomous source.
 func (c *Client) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
 	if limit > 0 {
 		tuples, _, err := c.queryPage(ctx, q, limit, 0)
@@ -132,7 +132,7 @@ func (c *Client) QueryContext(ctx context.Context, q *query.Query, limit int) ([
 			return all, nil
 		}
 	}
-	return nil, fmt.Errorf("webdb client: query %s: source still incomplete after %d pages of %d rows", q, maxPages, c.pageSize)
+	return nil, fmt.Errorf("webdb client: query %s: %w: still incomplete after %d pages of %d rows", q, errOutOfBounds, maxPages, c.pageSize)
 }
 
 // queryPage fetches one page of at most limit rows and reports whether the
@@ -161,9 +161,9 @@ func (c *Client) queryPage(ctx context.Context, q *query.Query, limit, offset in
 	}
 	switch n := len(tuples); {
 	case n > limit:
-		return nil, false, fmt.Errorf("webdb client: source returned %d rows for a page of %d", n, limit)
+		return nil, false, fmt.Errorf("webdb client: %w: %d rows for a page of %d", errOutOfBounds, n, limit)
 	case !complete && n < limit:
-		return nil, false, fmt.Errorf("webdb client: source returned an incomplete page of %d rows, page size %d", n, limit)
+		return nil, false, fmt.Errorf("webdb client: %w: an incomplete page of %d rows, page size %d", errOutOfBounds, n, limit)
 	}
 	return tuples, complete, nil
 }
@@ -218,7 +218,7 @@ func readBody(r io.Reader, dst []byte) ([]byte, error) {
 		n, err := r.Read(dst[len(dst):min(cap(dst), start+maxBody+1)])
 		dst = dst[:len(dst)+n]
 		if len(dst)-start > maxBody {
-			return dst, fmt.Errorf("response body over %d bytes", maxBody)
+			return dst, fmt.Errorf("%w: response body over %d bytes", errOutOfBounds, maxBody)
 		}
 		if err == io.EOF {
 			return dst, nil

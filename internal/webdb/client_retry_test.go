@@ -1,6 +1,7 @@
 package webdb
 
 import (
+	"context"
 	"errors"
 	"math"
 	"net/http"
@@ -54,7 +55,7 @@ func resilientClient(t *testing.T, srv *httptest.Server) (*Client, *Resilient) {
 func TestClientRetries5xx(t *testing.T) {
 	srv, calls := flakyQueryServer(t, http.StatusServiceUnavailable, 2, "")
 	c, r := resilientClient(t, srv)
-	got, err := r.Query(toyotaQuery(c), 0)
+	got, err := r.QueryContext(context.Background(), toyotaQuery(c), 0)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("Query through 2×503 = %d tuples, %v; want success on the third attempt", len(got), err)
 	}
@@ -66,7 +67,7 @@ func TestClientRetries5xx(t *testing.T) {
 func TestClientRetries429WithRetryAfter(t *testing.T) {
 	srv, calls := flakyQueryServer(t, http.StatusTooManyRequests, 1, "0")
 	c, r := resilientClient(t, srv)
-	if got, err := r.Query(toyotaQuery(c), 0); err != nil || len(got) != 2 {
+	if got, err := r.QueryContext(context.Background(), toyotaQuery(c), 0); err != nil || len(got) != 2 {
 		t.Fatalf("Query through one 429 = %d tuples, %v", len(got), err)
 	}
 	if n := calls.Load(); n != 2 {
@@ -77,7 +78,7 @@ func TestClientRetries429WithRetryAfter(t *testing.T) {
 func TestClientTerminal4xxNotRetried(t *testing.T) {
 	srv, calls := flakyQueryServer(t, http.StatusBadRequest, 100, "")
 	c, r := resilientClient(t, srv)
-	_, err := r.Query(toyotaQuery(c), 0)
+	_, err := r.QueryContext(context.Background(), toyotaQuery(c), 0)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("err = %v, want a 400 StatusError", err)
@@ -93,7 +94,7 @@ func TestStatusErrorSurfacesRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Query(toyotaQuery(c), 0) // the client's single attempt
+	_, err = c.QueryContext(context.Background(), toyotaQuery(c), 0) // the client's single attempt
 	var se *StatusError
 	if !errors.As(err, &se) || se.RetryAfter != 7*time.Second {
 		t.Fatalf("err = %v, want StatusError carrying Retry-After 7s", err)

@@ -70,8 +70,8 @@ type chaosPlan struct {
 // Retry-After), latency, and silently truncated results. It is seeded and
 // deterministic — the same config over the same call sequence injects the
 // same faults — and safe for concurrent use: all mutable state (rng, call
-// counter, burst window) lives under one mutex. It implements ContextSource
-// by delegation, so wrapping a Client does not strip cancellation.
+// counter, burst window) lives under one mutex. It passes the caller's
+// context to the wrapped source, so wrapping a Client keeps cancellation.
 type Chaos struct {
 	src Source
 
@@ -168,12 +168,7 @@ func (c *Chaos) plan() chaosPlan {
 // Schema implements Source.
 func (c *Chaos) Schema() *relation.Schema { return c.src.Schema() }
 
-// Query implements Source.
-func (c *Chaos) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
-	return c.QueryContext(context.Background(), q, limit)
-}
-
-// QueryContext implements ContextSource, injecting faults per configuration.
+// QueryContext implements Source, injecting faults per configuration.
 func (c *Chaos) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
 	p := c.plan()
 	if p.delay > 0 {
@@ -184,7 +179,7 @@ func (c *Chaos) QueryContext(ctx context.Context, q *query.Query, limit int) ([]
 	if p.err != nil {
 		return nil, p.err
 	}
-	ts, err := QueryContext(ctx, c.src, q, limit)
+	ts, err := c.src.QueryContext(ctx, q, limit)
 	if err == nil && p.truncate && len(ts) > 1 {
 		ts = ts[:len(ts)/2]
 	}

@@ -52,13 +52,19 @@ func rows(n int, complete bool) string {
 	return b.String()
 }
 
+// bareAndResilient is c alone and c behind NewResilient with 3 attempts.
+// A bound violation is terminal, so both draw the same requests.
+func bareAndResilient(c *Client) []Source {
+	return []Source{c, NewResilient(c, ResilientConfig{Retry: RetryPolicy{MaxAttempts: 3}})}
+}
+
 // queryWithin runs an unlimited or limited query under a deadline, so a
 // client that never stops fails the test instead of hanging it.
-func queryWithin(t *testing.T, c *Client, limit int) ([]relation.Tuple, error) {
+func queryWithin(t *testing.T, src Source, limit int) ([]relation.Tuple, error) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	tuples, err := c.QueryContext(ctx, query.New(c.Schema()), limit)
+	tuples, err := src.QueryContext(ctx, query.New(src.Schema()), limit)
 	if ctx.Err() != nil {
 		t.Fatalf("query ran into its deadline (%v): the client did not stop the source", err)
 	}
@@ -71,19 +77,22 @@ func TestClientRejectsRowsPastLimit(t *testing.T) {
 	c, calls := hostileSource(t, func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte(rows(5000, true)))
 	})
-	tuples, err := queryWithin(t, c, 200)
-	if err == nil || !strings.Contains(err.Error(), "5000 rows for a page of 200") {
-		t.Fatalf("limit-200 query given 5,000 rows = %d tuples, %v; want an error", len(tuples), err)
-	}
-	if n := calls.Load(); n != 1 {
-		t.Errorf("%d requests, want 1", n)
+	for _, src := range bareAndResilient(c) {
+		calls.Store(0)
+		tuples, err := queryWithin(t, src, 200)
+		if err == nil || !strings.Contains(err.Error(), "5000 rows for a page of 200") {
+			t.Fatalf("%T: limit-200 query given 5,000 rows = %d tuples, %v; want an error", src, len(tuples), err)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Errorf("%T: %d requests, want 1", src, n)
+		}
 	}
 }
 
 // TestClientCapsResponseBody: a body past maxBody fails the query without
 // being read to its end, even when it is a well-formed page.
 func TestClientCapsResponseBody(t *testing.T) {
-	c, _ := hostileSource(t, func(w http.ResponseWriter, _ *http.Request) {
+	c, calls := hostileSource(t, func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte(`{"tuples":[["`))
 		chunk := []byte(strings.Repeat("x", 64<<10))
 		for n := 0; n <= maxBody; n += len(chunk) {
@@ -93,9 +102,15 @@ func TestClientCapsResponseBody(t *testing.T) {
 		}
 		w.Write([]byte(`","Camry","2000","1"]],"complete":true}`))
 	})
-	tuples, err := queryWithin(t, c, 1)
-	if err == nil || !strings.Contains(err.Error(), "response body over") {
-		t.Fatalf("%d MiB page = %d tuples, %v; want the body cap's error", maxBody>>20, len(tuples), err)
+	for _, src := range bareAndResilient(c) {
+		calls.Store(0)
+		tuples, err := queryWithin(t, src, 1)
+		if err == nil || !strings.Contains(err.Error(), "response body over") {
+			t.Fatalf("%T: %d MiB page = %d tuples, %v; want the body cap's error", src, maxBody>>20, len(tuples), err)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Errorf("%T: %d requests, want 1", src, n)
+		}
 	}
 }
 
@@ -105,15 +120,21 @@ func TestClientRejectsShortIncompletePage(t *testing.T) {
 	c, calls := hostileSource(t, func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte(rows(0, false)))
 	})
-	if _, err := queryWithin(t, c, 0); err == nil || !strings.Contains(err.Error(), "incomplete page of 0 rows") {
-		t.Fatalf("endless empty pages: err = %v", err)
-	}
-	if n := calls.Load(); n != 1 {
-		t.Errorf("%d requests, want 1", n)
-	}
-	// The same rule holds for a limited query's single page.
-	if _, err := queryWithin(t, c, 10); err == nil {
-		t.Errorf("an incomplete page of 0 rows for limit 10 was accepted")
+	for _, src := range bareAndResilient(c) {
+		calls.Store(0)
+		if _, err := queryWithin(t, src, 0); err == nil || !strings.Contains(err.Error(), "incomplete page of 0 rows") {
+			t.Fatalf("%T: endless empty pages: err = %v", src, err)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Errorf("%T: %d requests, want 1", src, n)
+		}
+		// The same rule holds for a limited query's single page.
+		if _, err := queryWithin(t, src, 10); err == nil {
+			t.Errorf("%T: an incomplete page of 0 rows for limit 10 was accepted", src)
+		}
+		if n := calls.Load(); n != 2 {
+			t.Errorf("%T: %d requests after the limited query, want 2", src, n)
+		}
 	}
 }
 
@@ -124,11 +145,14 @@ func TestClientCapsPages(t *testing.T) {
 		w.Write([]byte(rows(1, false)))
 	})
 	c.pageSize = 1 // keep the maxPages round trips small
-	if _, err := queryWithin(t, c, 0); err == nil || !strings.Contains(err.Error(), "incomplete after 2000 pages") {
-		t.Fatalf("endless full pages: err = %v", err)
-	}
-	if n := calls.Load(); n != maxPages {
-		t.Errorf("%d requests, want maxPages = %d", n, maxPages)
+	for _, src := range bareAndResilient(c) {
+		calls.Store(0)
+		if _, err := queryWithin(t, src, 0); err == nil || !strings.Contains(err.Error(), "incomplete after 2000 pages") {
+			t.Fatalf("%T: endless full pages: err = %v", src, err)
+		}
+		if n := calls.Load(); n != maxPages {
+			t.Errorf("%T: %d requests, want maxPages = %d", src, n, maxPages)
+		}
 	}
 }
 

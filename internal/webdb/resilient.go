@@ -60,10 +60,11 @@ var ErrBreakerOpen = errors.New("webdb: circuit breaker open")
 
 // Retryable classifies err for the retry layer: transient failures —
 // transport errors, HTTP 5xx, 429 — warrant another attempt; terminal ones
-// — other 4xx, context cancellation, an open breaker — do not. after is the
-// server-mandated minimum wait (Retry-After), zero when none. Unknown
-// errors default to retryable: against an autonomous source, flakiness is
-// the premise and a wasted retry is cheaper than a lost answer.
+// — other 4xx, context cancellation, an open breaker, an answer past one
+// of Client's bounds — do not. after is the server-mandated minimum wait
+// (Retry-After), zero when none. Unknown errors default to retryable:
+// against an autonomous source, flakiness is the premise and a wasted
+// retry is cheaper than a lost answer.
 func Retryable(err error) (retry bool, after time.Duration) {
 	if err == nil {
 		return false, 0
@@ -71,7 +72,7 @@ func Retryable(err error) (retry bool, after time.Duration) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false, 0
 	}
-	if errors.Is(err, ErrBreakerOpen) {
+	if errors.Is(err, ErrBreakerOpen) || errors.Is(err, errOutOfBounds) {
 		return false, 0
 	}
 	var se *StatusError
@@ -369,10 +370,10 @@ type ResilientConfig struct {
 	Breaker BreakerConfig
 }
 
-// Resilient wraps a Source with retry/backoff and a circuit breaker. It
-// implements ContextSource by delegation, so cancellation reaches a wrapped
-// Client's wire requests. Safe for concurrent use when the wrapped source
-// is.
+// Resilient wraps a Source with retry/backoff and a circuit breaker. Each
+// attempt passes the caller's context to the wrapped source, so
+// cancellation reaches a wrapped Client's wire requests. Safe for
+// concurrent use when the wrapped source is.
 type Resilient struct {
 	src     Source
 	retry   RetryPolicy
@@ -399,12 +400,7 @@ func (r *Resilient) Schema() *relation.Schema { return r.src.Schema() }
 // Unwrap returns the wrapped source (see Innermost).
 func (r *Resilient) Unwrap() Source { return r.src }
 
-// Query implements Source.
-func (r *Resilient) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
-	return r.QueryContext(context.Background(), q, limit)
-}
-
-// QueryContext implements ContextSource: breaker check, then the retry loop
+// QueryContext implements Source: breaker check, then the retry loop
 // around the wrapped source. When the context carries an obs recorder,
 // noteworthy calls — retried, failed or shed — are recorded as SourceEvents
 // so /answer?explain shows them; clean first-attempt successes are not
@@ -424,7 +420,7 @@ func (r *Resilient) QueryContext(ctx context.Context, q *query.Query, limit int)
 	start := time.Now()
 	var tuples []relation.Tuple
 	attempts, err := r.retry.Do(ctx, func(actx context.Context) error {
-		ts, aerr := QueryContext(actx, r.src, q, limit)
+		ts, aerr := r.src.QueryContext(actx, q, limit)
 		if aerr == nil {
 			tuples = ts
 		}

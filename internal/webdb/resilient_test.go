@@ -24,7 +24,7 @@ type seqSource struct {
 
 func (s *seqSource) Schema() *relation.Schema { return s.Src.Schema() }
 
-func (s *seqSource) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
+func (s *seqSource) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
 	s.mu.Lock()
 	s.calls++
 	n := s.calls
@@ -34,7 +34,7 @@ func (s *seqSource) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
 			return nil, err
 		}
 	}
-	return s.Src.Query(q, limit)
+	return s.Src.QueryContext(ctx, q, limit)
 }
 
 func (s *seqSource) Calls() int {
@@ -59,6 +59,7 @@ func TestRetryableClassification(t *testing.T) {
 		{"cancelled", context.Canceled, false, 0},
 		{"deadline", context.DeadlineExceeded, false, 0},
 		{"breaker", fmt.Errorf("wrapped: %w", ErrBreakerOpen), false, 0},
+		{"out-of-bounds", fmt.Errorf("webdb client: query: %w: response body over 1 bytes", errOutOfBounds), false, 0},
 		{"http-400", &StatusError{Code: 400}, false, 0},
 		{"http-404", &StatusError{Code: 404}, false, 0},
 		{"http-429", &StatusError{Code: 429, RetryAfter: 3 * time.Second}, true, 3 * time.Second},
@@ -252,7 +253,7 @@ func TestResilientRetriesThenSucceeds(t *testing.T) {
 	r := NewResilient(src, ResilientConfig{
 		Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond},
 	})
-	got, err := r.Query(makeQuery(t, r), 0)
+	got, err := r.QueryContext(context.Background(), makeQuery(t, r), 0)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("Query = %d tuples, %v; want 2 tuples through 2 retries", len(got), err)
 	}
@@ -267,7 +268,7 @@ func TestResilientTerminal4xxNotRetried(t *testing.T) {
 		return &StatusError{Code: 400, Msg: "bad param"}
 	}}
 	r := NewResilient(src, ResilientConfig{Retry: RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond}})
-	_, err := r.Query(makeQuery(t, r), 0)
+	_, err := r.QueryContext(context.Background(), makeQuery(t, r), 0)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != 400 {
 		t.Fatalf("err = %v, want the 400 StatusError", err)
@@ -289,7 +290,7 @@ func TestResilientFastFailWhenOpen(t *testing.T) {
 	})
 	q := makeQuery(t, r)
 	for i := 0; i < 2; i++ {
-		if _, err := r.Query(q, 0); !errors.Is(err, ErrInjected) {
+		if _, err := r.QueryContext(context.Background(), q, 0); !errors.Is(err, ErrInjected) {
 			t.Fatalf("query %d: err = %v, want injected", i, err)
 		}
 	}

@@ -62,9 +62,9 @@ func (s *Server) EnableTracing(ring *obs.Ring) { s.ring = ring }
 // is off).
 func (s *Server) Ring() *obs.Ring { return s.ring }
 
-// NewServer builds the HTTP façade over src. When src is (or wraps) a
-// ProbeCounter, a GET /stats endpoint reports the cumulative query and
-// tuple counts.
+// NewServer builds the HTTP façade over src. When src itself is a
+// *ProbeCounter (not a source that wraps one), a GET /stats endpoint
+// reports the cumulative query and tuple counts.
 func NewServer(src Source) *Server {
 	s := &Server{src: src, mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /schema", s.handleSchema)
@@ -136,7 +136,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 {
 		fetch = offset + limit + 1
 	}
-	tuples, err := QueryContext(ctx, s.src, q, fetch)
+	tuples, err := s.src.QueryContext(ctx, q, fetch)
 	if rec.Active() {
 		// The probe record adopts any engine EXPLAIN the source recorded.
 		rec.BaseProbe(text, len(tuples), err != nil)

@@ -4,14 +4,18 @@
 //
 // The package has three layers:
 //
-//   - Source: the interface every AIMQ component queries through. Local
-//     (in-process engine) and Remote (HTTP client) implementations are
-//     interchangeable, so the whole pipeline — probing, mining, relaxation —
-//     runs identically against a true remote source.
+//   - Source: the interface every AIMQ component queries through, one call
+//     under the caller's context. Local (in-process engine) and Client
+//     (HTTP) implementations are interchangeable, so the whole pipeline —
+//     probing, mining, relaxation — runs identically against a true remote
+//     source. Middleware sources wrap another one: ProbeCounter counts,
+//     Resilient retries and trips a circuit breaker, Chaos injects faults
+//     and Swap replaces the source in flight.
 //   - Server: an net/http handler that exposes an engine through a
 //     form-style GET /query endpoint, the way a Web form front-end would.
-//   - Client: the matching HTTP client with optional fault injection used by
-//     the failure tests.
+//   - Client: the matching HTTP client. It makes one HTTP attempt per page
+//     (retrying is Resilient's job) and bounds what a hostile source can
+//     make it read.
 //
 // The Source deliberately exposes only boolean conjunctive queries with a
 // result limit — no ranking, no similarity, no schema statistics beyond the
@@ -34,31 +38,18 @@ import (
 type Source interface {
 	// Schema returns the relation's schema (a Web form reveals its fields).
 	Schema() *relation.Schema
-	// Query returns tuples satisfying q, up to limit (limit <= 0: no cap).
-	Query(q *query.Query, limit int) ([]relation.Tuple, error)
-}
-
-// ContextSource is a Source whose queries honor a context — remote sources
-// abort in-flight HTTP requests on cancellation. Wrappers that embed another
-// Source should implement it by delegation so cancellation survives
-// middleware like ProbeCounter.
-type ContextSource interface {
-	Source
+	// QueryContext returns tuples satisfying q, up to limit (limit <= 0: no
+	// cap). A cancelled ctx stops the call: a query not yet sent is not
+	// sent, and a remote source aborts its wire request. Middleware passes
+	// ctx to the source it wraps.
 	QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error)
 }
 
-// QueryContext issues q against src under ctx when src supports it, falling
-// back to a plain Query after an upfront cancellation check. Callers that
-// loop over many source queries (the relaxation engine) use this so a
-// deadline stops both the loop and, for remote sources, the wire request.
+// QueryContext is src.QueryContext(ctx, q, limit). It is kept because the
+// perfbench module's trace.go calls it and compiles against this package
+// unmodified.
 func QueryContext(ctx context.Context, src Source, q *query.Query, limit int) ([]relation.Tuple, error) {
-	if cs, ok := src.(ContextSource); ok {
-		return cs.QueryContext(ctx, q, limit)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return src.Query(q, limit)
+	return src.QueryContext(ctx, q, limit)
 }
 
 // ProbeCounter wraps a Source and counts issued queries and returned tuples.
@@ -74,18 +65,9 @@ type ProbeCounter struct {
 // Schema implements Source.
 func (p *ProbeCounter) Schema() *relation.Schema { return p.Src.Schema() }
 
-// Query implements Source, counting the probe.
-func (p *ProbeCounter) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
-	ts, err := p.Src.Query(q, limit)
-	p.queries.Add(1)
-	p.tuples.Add(int64(len(ts)))
-	return ts, err
-}
-
-// QueryContext implements ContextSource by delegating to the wrapped source,
-// so counting middleware does not strip cancellation support.
+// QueryContext implements Source, counting the query.
 func (p *ProbeCounter) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
-	ts, err := QueryContext(ctx, p.Src, q, limit)
+	ts, err := p.Src.QueryContext(ctx, q, limit)
 	p.queries.Add(1)
 	p.tuples.Add(int64(len(ts)))
 	return ts, err
@@ -140,29 +122,22 @@ func NewLocal(rel *relation.Relation) *Local {
 // Schema implements Source.
 func (l *Local) Schema() *relation.Schema { return l.eng.Relation().Schema() }
 
-// Query implements Source.
-func (l *Local) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
-	if err := l.checkSchema(q); err != nil {
-		return nil, err
-	}
-	return l.eng.ExecuteTuples(q, limit), nil
-}
-
-// QueryContext implements ContextSource. Local execution cannot be aborted
-// mid-query (it is a few microseconds of bitmap work), but the context
-// carries the trace recorder: when one is active the engine runs in EXPLAIN
-// ANALYZE mode and the compiled plan + chunk counters are recorded for the
+// QueryContext implements Source. Local execution cannot be aborted
+// mid-query (it is a few microseconds of bitmap work), so a cancelled ctx
+// is checked once, before the query runs. The context also carries the
+// trace recorder: when one is active the engine runs in EXPLAIN ANALYZE
+// mode and the compiled plan + chunk counters are recorded for the
 // relaxation step (or base probe) this query belongs to.
 func (l *Local) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
-	rec := obs.FromContext(ctx)
-	if !rec.Active() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return l.Query(q, limit)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if err := l.checkSchema(q); err != nil {
 		return nil, err
+	}
+	rec := obs.FromContext(ctx)
+	if !rec.Active() {
+		return l.eng.ExecuteTuples(q, limit), nil
 	}
 	ex := obs.EngineExec{Plan: rec.PlanBuffer()}
 	tuples := l.eng.ExecuteTuplesExplained(q, limit, &ex)

@@ -44,14 +44,9 @@ func (s *Swap) Get() Source { return s.inner.Load().src }
 // Schema implements Source.
 func (s *Swap) Schema() *relation.Schema { return s.Get().Schema() }
 
-// Query implements Source.
-func (s *Swap) Query(q *query.Query, limit int) ([]relation.Tuple, error) {
-	return s.Get().Query(q, limit)
-}
-
-// QueryContext implements ContextSource by delegation.
+// QueryContext implements Source on the current inner source.
 func (s *Swap) QueryContext(ctx context.Context, q *query.Query, limit int) ([]relation.Tuple, error) {
-	return QueryContext(ctx, s.Get(), q, limit)
+	return s.Get().QueryContext(ctx, q, limit)
 }
 
 // Unwrap exposes the current inner source to the Innermost chain walk, so

@@ -1,6 +1,7 @@
 package webdb
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -46,11 +47,11 @@ func testRel() *relation.Relation {
 func TestLocalSource(t *testing.T) {
 	src := NewLocal(testRel())
 	q := query.New(src.Schema()).Where("Make", query.OpEq, relation.Cat("Toyota"))
-	got, err := src.Query(q, 0)
+	got, err := src.QueryContext(context.Background(), q, 0)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("local query = %d tuples, err %v", len(got), err)
 	}
-	if got2, err := src.Query(q, 1); err != nil || len(got2) != 1 {
+	if got2, err := src.QueryContext(context.Background(), q, 1); err != nil || len(got2) != 1 {
 		t.Errorf("limit ignored: %d, %v", len(got2), err)
 	}
 }
@@ -59,7 +60,7 @@ func TestLocalSchemaMismatch(t *testing.T) {
 	src := NewLocal(testRel())
 	other := relation.MustSchema(relation.Attribute{Name: "X", Type: relation.Numeric})
 	q := query.New(other).Where("X", query.OpEq, relation.Numv(1))
-	if _, err := src.Query(q, 0); err == nil {
+	if _, err := src.QueryContext(context.Background(), q, 0); err == nil {
 		t.Errorf("mismatched schema accepted")
 	}
 }
@@ -67,10 +68,10 @@ func TestLocalSchemaMismatch(t *testing.T) {
 func TestProbeCounter(t *testing.T) {
 	pc := &ProbeCounter{Src: NewLocal(testRel())}
 	q := query.New(pc.Schema()).Where("Make", query.OpEq, relation.Cat("Honda"))
-	if _, err := pc.Query(q, 0); err != nil {
+	if _, err := pc.QueryContext(context.Background(), q, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pc.Query(q, 1); err != nil {
+	if _, err := pc.QueryContext(context.Background(), q, 1); err != nil {
 		t.Fatal(err)
 	}
 	if pc.Queries() != 2 || pc.Tuples() != 3 {
@@ -101,7 +102,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	q := query.New(c.Schema()).
 		Where("Make", query.OpEq, relation.Cat("Toyota")).
 		Where("Price", query.OpLess, relation.Numv(9000))
-	got, err := c.Query(q, 0)
+	got, err := c.QueryContext(context.Background(), q, 0)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -113,12 +114,12 @@ func TestHTTPRoundTrip(t *testing.T) {
 func TestHTTPRangeAndGreater(t *testing.T) {
 	c, _ := newTestClient(t)
 	q := query.New(c.Schema()).WhereRange("Year", 2000, 2001)
-	got, err := c.Query(q, 0)
+	got, err := c.QueryContext(context.Background(), q, 0)
 	if err != nil || len(got) != 3 {
 		t.Errorf("range query = %d tuples, %v", len(got), err)
 	}
 	q2 := query.New(c.Schema()).Where("Price", query.OpGreater, relation.Numv(10000))
-	got2, err := c.Query(q2, 0)
+	got2, err := c.QueryContext(context.Background(), q2, 0)
 	if err != nil || len(got2) != 2 {
 		t.Errorf("gt query = %d tuples, %v", len(got2), err)
 	}
@@ -126,7 +127,7 @@ func TestHTTPRangeAndGreater(t *testing.T) {
 
 func TestHTTPLimit(t *testing.T) {
 	c, _ := newTestClient(t)
-	got, err := c.Query(query.New(c.Schema()), 2)
+	got, err := c.QueryContext(context.Background(), query.New(c.Schema()), 2)
 	if err != nil || len(got) != 2 {
 		t.Errorf("limit query = %d tuples, %v", len(got), err)
 	}
@@ -135,11 +136,11 @@ func TestHTTPLimit(t *testing.T) {
 func TestClientRejectsLike(t *testing.T) {
 	c, _ := newTestClient(t)
 	q := query.New(c.Schema()).Where("Model", query.OpLike, relation.Cat("Camry"))
-	if _, err := c.Query(q, 0); err == nil {
+	if _, err := c.QueryContext(context.Background(), q, 0); err == nil {
 		t.Errorf("client sent a like predicate to a boolean source")
 	}
 	// Tightened version must work.
-	if got, err := c.Query(q.ToPrecise(), 0); err != nil || len(got) != 1 {
+	if got, err := c.QueryContext(context.Background(), q.ToPrecise(), 0); err != nil || len(got) != 1 {
 		t.Errorf("tightened query = %d tuples, %v", len(got), err)
 	}
 }
@@ -175,7 +176,7 @@ func TestClientAgainstDeadServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, err := c.Query(query.New(c.Schema()), 1); err == nil {
+	if _, err := c.QueryContext(context.Background(), query.New(c.Schema()), 1); err == nil {
 		t.Errorf("query against dead server succeeded")
 	}
 	if _, err := NewClient(srv.URL, srv.Client()); err == nil {
@@ -229,11 +230,11 @@ func TestClientRetries(t *testing.T) {
 	if c.query, err = http.NewRequest(http.MethodGet, proxy.URL+"/query?", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Query(query.New(c.Schema()), 1); err == nil {
+	if _, err := c.QueryContext(context.Background(), query.New(c.Schema()), 1); err == nil {
 		t.Fatalf("flaky proxy did not fail the client's single attempt")
 	}
 	r := NewResilient(c, ResilientConfig{Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond}})
-	if _, err := r.Query(query.New(c.Schema()), 1); err != nil {
+	if _, err := r.QueryContext(context.Background(), query.New(c.Schema()), 1); err != nil {
 		t.Errorf("retry through Resilient failed: %v", err)
 	}
 }
@@ -317,7 +318,7 @@ func TestClientAutoPagination(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.pageSize = 10 // force several round trips
-	got, err := c.Query(query.New(c.Schema()), 0)
+	got, err := c.QueryContext(context.Background(), query.New(c.Schema()), 0)
 	if err != nil {
 		t.Fatalf("unlimited query: %v", err)
 	}
@@ -333,7 +334,7 @@ func TestClientAutoPagination(t *testing.T) {
 		seen[tp[3].Num] = true
 	}
 	// An explicit limit is a single page.
-	few, err := c.Query(query.New(c.Schema()), 7)
+	few, err := c.QueryContext(context.Background(), query.New(c.Schema()), 7)
 	if err != nil || len(few) != 7 {
 		t.Errorf("limited query = %d rows, %v", len(few), err)
 	}
@@ -343,7 +344,7 @@ func TestHTTPOpIn(t *testing.T) {
 	c, _ := newTestClient(t)
 	q := query.New(c.Schema()).WhereIn("Make",
 		relation.Cat("Toyota"), relation.Cat("Ford"))
-	got, err := c.Query(q, 0)
+	got, err := c.QueryContext(context.Background(), q, 0)
 	if err != nil {
 		t.Fatalf("in query over HTTP: %v", err)
 	}
