@@ -132,11 +132,6 @@ func TestCollectErrors(t *testing.T) {
 	if _, _, err := collect(ctx, webdb.NewLocal(empty), "Make", 1); err == nil {
 		t.Errorf("empty source should fail")
 	}
-	// A failed seed query fails the collect with the source's error.
-	flaky := webdb.NewChaos(webdb.NewLocal(rel), webdb.ChaosConfig{FailEvery: 1})
-	if _, _, err := collect(ctx, flaky, "", 1); !errors.Is(err, webdb.ErrInjected) || !strings.Contains(err.Error(), "seed query") {
-		t.Errorf("failed seed query error = %v", err)
-	}
 }
 
 func TestCollectFlakySource(t *testing.T) {
@@ -187,6 +182,16 @@ func TestPivotCoverage(t *testing.T) {
 	// Price is unique per tuple: must be the highest-cardinality pivot.
 	if infos[len(infos)-1].attr != "Price" {
 		t.Errorf("highest-cardinality pivot = %s, want Price", infos[len(infos)-1].attr)
+	}
+}
+
+// TestPivotCoverageSourceError: pivot discovery reads the seed query's
+// tuples, so a failed seed query fails Sample with the source's error.
+func TestPivotCoverageSourceError(t *testing.T) {
+	flaky := webdb.NewChaos(webdb.NewLocal(bigRel(10, 18)), webdb.ChaosConfig{FailEvery: 1})
+	_, _, err := Sample(context.Background(), flaky, "", 0, 1, rand.New(rand.NewSource(18)))
+	if !errors.Is(err, webdb.ErrInjected) || !strings.Contains(err.Error(), "seed query") {
+		t.Errorf("failed seed query error = %v", err)
 	}
 }
 
